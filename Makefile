@@ -88,38 +88,36 @@ serve-smoke:
 	rm -f .serve-smoke.jsonl .serve-smoke-metrics.json
 
 # Fault-injection smoke (<30 s): a seeded fault plan — charger outages,
-# cancellations, no-shows, and journal write failures that crash and
-# recover the daemon mid-run — then verify recovery converges on the
-# byte-identical journal (see docs/FAULTS.md).
+# cancellations, no-shows, and journal write failures that crash the
+# daemon mid-run; sharded, shard kills, snapshot corruption and
+# crash-looping recoveries — healed by the supervisor, then verify
+# recovery converges on the byte-identical journal (see docs/FAULTS.md).
 chaos-smoke:
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 4 \
 		--journal .chaos-smoke.jsonl --fault-plan seed:13 --check-recovery
 	rm -f .chaos-smoke.jsonl
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .chaos-smoke-shards \
-		--fault-plan seed:13 --check-recovery
+		--snapshot-every 25 --fault-plan seed:13 --check-recovery
 	rm -rf .chaos-smoke-shards
-	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \
-		--shards 4 --halo 12 --journal .chaos-smoke-supervised \
-		--snapshot-every 25 --fault-plan seed:13 --supervise --check-recovery
-	rm -rf .chaos-smoke-supervised
 
 # Self-healing smoke (tier-1 marker, <5 s): supervised chaos — shard
 # kills, snapshot corruption, crash-looping recoveries — converging
-# byte-identical with zero operator calls, then an end-to-end supervised
+# byte-identical with zero operator calls, then an end-to-end self-healing
 # daemon run recovered via --recover-only (see docs/RECOVERY.md).
 recovery-smoke:
 	$(PYTHON) -m pytest -q -m recovery_smoke tests/test_shard_supervisor.py
 	$(PYTHON) -m repro.service --n 100 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .recovery-smoke \
-		--snapshot-every 20 --fault-plan seed:3 --supervise
+		--snapshot-every 20 --fault-plan seed:3
 	$(PYTHON) -m repro.service --chargers 8 --shards 4 \
 		--journal .recovery-smoke --recover-only
 	rm -rf .recovery-smoke
 
-# Sharded-service smoke (tier-1 marker): a 4-shard replay checked against
-# the live facade plus the 1-shard byte-identity spot check, then an
-# end-to-end sharded daemon run recovered from its journal directory.
+# Sharded-service smoke (tier-1 marker): a 4-shard run whose journals
+# partition the stream and recover to the live state, plus the 1-shard
+# byte-identity spot check, then an end-to-end sharded daemon run
+# recovered from its journal directory.
 shard-smoke:
 	$(PYTHON) -m pytest -q -m shard_smoke tests/test_shard_smoke.py
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \

@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .experiments import EXPERIMENTS, FIGURE_BUILDERS, ascii_plot, run_experiment
@@ -261,11 +262,12 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--fault-plan",
         metavar="PATH|seed:N",
         help="inject faults (charger outages, cancellations, no-shows, "
-        "journal write failures) from a JSON plan file, or generate one "
-        "deterministically from seed N (see docs/FAULTS.md); journal "
-        "faults crash and recover the daemon mid-run and require --journal. "
-        "With --shards > 1, seed:N generates shard kill/recover events "
-        "instead of journal faults",
+        "journal write failures, kills) from a JSON plan file, or generate "
+        "one deterministically from seed N (see docs/FAULTS.md).  Faults "
+        "that kill the daemon or a shard are healed by the supervisor "
+        "and require --journal.  With --shards > 1, seed:N draws shard "
+        "kills, snapshot faults and recovery crashes instead of journal "
+        "faults",
     )
     parser.add_argument(
         "--snapshot-every",
@@ -285,19 +287,13 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "needs at least 2 so one corrupt snapshot never strands recovery)",
     )
     parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="with --shards > 1: run the fault plan through the shard "
-        "supervisor (automatic failover with seed-derived backoff, "
-        "degraded-mode routing on escalation, supervision journal) "
-        "instead of the kill-and-recover chaos driver",
-    )
-    parser.add_argument(
         "--recover-only",
         action="store_true",
-        help="skip the run: recover a daemon from --journal, report its "
-        "state, and exit — nonzero with a one-line structured error when "
-        "the journal directory is corrupt beyond repair",
+        help="skip the run: recover a daemon from --journal (a directory "
+        "holding a manifest.json is a sharded service), report its state, "
+        "and exit — nonzero with a one-line structured error when the "
+        "journal is missing, of another layout than --shards > 1 says, or "
+        "corrupt beyond repair",
     )
     return parser
 
@@ -325,42 +321,31 @@ def _grid_chargers(k: int, side: float):
     return chargers
 
 
-def _load_fault_plan(
-    spec: str, requests, chargers, n_shards: int = 1, supervised: bool = False
-):
+def _load_fault_plan(spec: str, requests, chargers, n_shards: int):
     """Resolve ``--fault-plan``: a JSON file path or ``seed:N``.
 
-    With ``n_shards > 1`` a generated plan swaps journal faults (which
-    assume a single kernel) for ``shard_kill`` events drawn per shard via
-    ``derive_seed(seed, "shard", sid)``; ``supervised`` widens the mix to
-    the full self-healing chaos set (snapshot corruption, crashes
-    mid-snapshot, crash-looping recoveries).
+    A generated plan draws charger outages, cancellations and no-shows.
+    A single kernel adds a journal write fault; with ``n_shards > 1``,
+    where journal faults would assume one kernel, the self-healing chaos
+    set is drawn instead, per shard (shard kills, snapshot corruption,
+    crashes mid-snapshot, crash-looping recoveries).
     """
     from .faults import FaultPlan
 
-    if spec.startswith("seed:"):
-        seed = int(spec[len("seed:"):])
-        if n_shards > 1:
-            horizon = max(
-                (float(r.submitted_at) for r in requests), default=0.0
-            ) + 600.0
-            plan = FaultPlan.generate(
-                seed,
-                charger_ids=[c.charger_id for c in chargers],
-                requests=requests,
-                journal_faults=0,
-            )
-            if supervised:
-                chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
-            else:
-                chaos = FaultPlan.generate_shard_kills(seed, n_shards, horizon)
-            return FaultPlan(list(plan.events) + list(chaos.events))
-        return FaultPlan.generate(
-            seed,
-            charger_ids=[c.charger_id for c in chargers],
-            requests=requests,
-        )
-    return FaultPlan.load(spec)
+    if not spec.startswith("seed:"):
+        return FaultPlan.load(spec)
+    seed = int(spec[len("seed:"):])
+    plan = FaultPlan.generate(
+        seed,
+        charger_ids=[c.charger_id for c in chargers],
+        requests=requests,
+        journal_faults=1 if n_shards == 1 else 0,
+    )
+    if n_shards == 1:
+        return plan
+    horizon = max((float(r.submitted_at) for r in requests), default=0.0) + 600.0
+    chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
+    return FaultPlan(list(plan.events) + list(chaos.events))
 
 
 def _structured_error(exc: BaseException) -> None:
@@ -374,169 +359,93 @@ def _structured_error(exc: BaseException) -> None:
     )
 
 
-def _recover_only(args, chargers, config) -> int:
-    """The ``--recover-only`` path: rebuild from the journal and report.
+def _open_service(args, chargers, config, plan=None, *, recover: bool = False):
+    """Build the service *args* describe, or recover it from ``--journal``.
 
-    Exit 0 with a state summary on success; exit 3 with a one-line
-    structured error (JSON on stderr) when recovery is impossible —
-    corruption beyond repair, a manifest schema mismatch, or a config
-    that does not match the journal's ``open`` header.
+    ``--shards > 1`` builds a sharded service journaling into a
+    directory; 1 builds a bare kernel journaling to a file, through a
+    :class:`~repro.faults.journal.FaultyJournal` when *plan* arms journal
+    faults.  Recovery infers the layout from the path (a directory holds
+    a manifest and one journal per shard) and raises
+    :class:`~repro.errors.RecoveryError` when the journal is missing or
+    ``--shards > 1`` contradicts it.
     """
-    from .errors import ServiceError
-    from .service import ChargingService
-
-    try:
-        if args.shards > 1:
-            from .shard import ShardedService
-
-            service = ShardedService.recover(
-                args.journal, chargers, config=config, journal_sync=False,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
-        else:
-            service = ChargingService.recover(
-                args.journal, chargers, config=config, journal_sync=False,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
-    except ServiceError as exc:
-        _structured_error(exc)
-        return 3
-    counts = service.counts()
-    sessions = service.final_schedule()
-    print(f"recovered: {len(sessions)} sessions")
-    print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_json}", file=sys.stderr)
-    if args.shards > 1:
-        service.close()
-    elif service.journal is not None:
-        service.journal.close()
-    return 0
-
-
-def _serve_sharded(args, requests, chargers, config) -> int:
-    """The ``--shards N > 1`` path: a sharded service, one journal per shard."""
+    from .errors import RecoveryError
+    from .faults import FaultyJournal
     from .geometry import Field
-    from .shard import ShardedService, drive_sharded, drive_supervised
+    from .service import ChargingService
+    from .shard import ShardedService
+    from .shard.service import read_manifest
 
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = _load_fault_plan(
-            args.fault_plan, requests, chargers, n_shards=args.shards,
-            supervised=args.supervise,
-        )
-        if fault_plan.journal_faults():
-            print(
-                "journal faults are per-kernel; with --shards > 1 use "
-                "shard_kill events instead (seed:N generates them)",
-                file=sys.stderr,
-            )
-            return 2
-        if fault_plan.supervisor_events() and not args.journal:
-            print("shard chaos events require --journal", file=sys.stderr)
-            return 2
-        if not args.supervise:
-            beyond_kills = [
-                e for e in fault_plan.supervisor_events()
-                if e.kind != "shard_kill"
-            ]
-            if beyond_kills or fault_plan.recovery_crashes():
-                print(
-                    "snapshot/recovery chaos events require --supervise",
-                    file=sys.stderr,
-                )
-                return 2
-
-    field = Field(args.field, args.field)
-    service = ShardedService(
-        chargers,
-        n_shards=args.shards,
-        field=field,
-        halo=args.halo,
+    knobs = dict(
         config=config,
-        journal_dir=args.journal,
         snapshot_every=args.snapshot_every,
         snapshot_keep=args.snapshot_keep,
     )
-    if args.supervise:
-        service, supervisor, stats = drive_supervised(
-            service, requests, fault_plan, seed=args.seed,
-            advance_to=args.duration,
-        )
-        supervisor.close()
-        print(
-            f"supervisor: {supervisor.stats['failures']} failures, "
-            f"{supervisor.stats['restarts']} restarts, "
-            f"{supervisor.stats['recoveries']} recoveries, "
-            f"{supervisor.stats['escalations']} escalations "
-            f"(logical backoff {supervisor.stats['total_backoff']:.1f} s)"
-        )
-    else:
-        service, stats = drive_sharded(
-            service, requests, fault_plan, advance_to=args.duration
-        )
-    if fault_plan is not None:
-        print(
-            f"faults: {len(fault_plan)} scheduled, {stats['kills']} shard "
-            f"kills ({stats['torn_kills']} torn), "
-            f"{stats['skipped_kills']} skipped"
-        )
-
-    counts = service.counts()
-    sessions = service.final_schedule()
-    grid = service.partition
-    print(
-        f"shards: {len(service.kernels)} kernels over a "
-        f"{grid.rows}x{grid.cols} grid (halo {grid.halo:g} m)"
-    )
-    print(f"requests: {len(requests)}  sessions: {len(sessions)}")
-    print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
-    moves = sum(k.planner.ops["moves"] for k in service.kernels.values())
-    repairs = sum(k.planner.ops["repair_moves"] for k in service.kernels.values())
-    solves = sum(k.planner.ops["full_solves"] for k in service.kernels.values())
-    print(f"replanner: {moves} moves, {repairs} repairs, {solves} full solves")
-
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_json}", file=sys.stderr)
-
-    if args.check_recovery:
-        from .errors import ServiceError
-
-        service.close()
-        try:
-            recovered = ShardedService.recover(
-                args.journal, chargers, config=config,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
+    if recover:
+        path = Path(args.journal)
+        if not path.exists():
+            raise RecoveryError(f"no journal at {path}")
+        if path.is_dir():
+            shards = int(read_manifest(path)["n_shards"])
+            if args.shards > 1 and args.shards != shards:
+                raise RecoveryError(
+                    f"--shards {args.shards} contradicts the {shards}-shard "
+                    f"manifest in {path}"
+                )
+            return ShardedService.recover(path, chargers, journal_sync=False, **knobs)
+        if args.shards > 1:
+            raise RecoveryError(
+                f"--shards {args.shards} needs a journal directory; {path} "
+                "is a single-kernel journal file"
             )
-        except ServiceError as exc:
-            _structured_error(exc)
-            return 3
-        ok = (
-            recovered.final_schedule() == sessions
-            and recovered.metrics_snapshot() == service.metrics_snapshot()
+        return ChargingService.recover(path, chargers, journal_sync=False, **knobs)
+    if args.shards > 1:
+        return ShardedService(
+            chargers, n_shards=args.shards, field=Field(args.field, args.field),
+            halo=args.halo, journal_dir=args.journal, **knobs,
         )
-        recovered.close()
-        if not ok:
-            print("recovery check FAILED: recovered state diverged", file=sys.stderr)
-            return 1
-        print("recovery check OK", file=sys.stderr)
-    service.close()
-    return 0
+    if plan is not None and plan.journal_faults():
+        journal = FaultyJournal(args.journal, fail_at=plan.journal_faults())
+        return ChargingService(chargers, journal=journal, **knobs)
+    return ChargingService(chargers, journal_path=args.journal, **knobs)
+
+
+def _print_summary(service, n_requests: Optional[int]) -> None:
+    """The run (or, with ``n_requests=None``, recovery) report."""
+    from .shard import ShardedService
+
+    kernels = [service]
+    if isinstance(service, ShardedService):
+        kernels = list(service.kernels.values())
+        grid = service.partition
+        print(
+            f"shards: {len(kernels)} kernels over a "
+            f"{grid.rows}x{grid.cols} grid (halo {grid.halo:g} m)"
+        )
+    sessions = len(service.final_schedule())
+    if n_requests is None:
+        print(f"recovered: {sessions} sessions")
+    else:
+        print(f"requests: {n_requests}  sessions: {sessions}")
+    counts = service.counts()
+    print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
+    ops = {
+        name: sum(k.planner.ops[name] for k in kernels)
+        for name in ("moves", "repair_moves", "full_solves")
+    }
+    print(
+        f"replanner: {ops['moves']} moves, {ops['repair_moves']} repairs, "
+        f"{ops['full_solves']} full solves"
+    )
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """``ccs-serve`` entry point; returns a process exit code."""
+    from .errors import ServiceError
+    from .faults import drive
     from .geometry import Field
-    from .service import ChargingService, ServiceConfig
+    from .service import ServiceConfig
     from .service.loadgen import generate_requests, read_trace
 
     args = _build_serve_parser().parse_args(argv)
@@ -558,35 +467,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.snapshot_keep < 1:
         print(f"--snapshot-keep must be >= 1, got {args.snapshot_keep}", file=sys.stderr)
         return 2
-    if args.supervise and args.shards < 2:
-        print("--supervise requires --shards > 1", file=sys.stderr)
-        return 2
     if args.recover_only and not args.journal:
         print("--recover-only requires --journal", file=sys.stderr)
         return 2
-
-    if args.recover_only:
-        chargers = _grid_chargers(args.chargers, args.field)
-        config = ServiceConfig(
-            epoch=args.epoch,
-            window=args.window,
-            queue_limit=args.queue_limit,
-            max_active=args.max_active,
-        )
-        return _recover_only(args, chargers, config)
-
-    if args.trace:
-        requests = read_trace(args.trace)
-    else:
-        requests = generate_requests(
-            args.n,
-            rate=args.rate,
-            field=Field(args.field, args.field),
-            profile=args.loadgen,
-            deadline_slack=args.deadline_slack,
-            max_price_factor=args.max_price_factor,
-            rng=args.seed,
-        )
 
     chargers = _grid_chargers(args.chargers, args.field)
     config = ServiceConfig(
@@ -595,64 +478,59 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         queue_limit=args.queue_limit,
         max_active=args.max_active,
     )
-    if args.shards > 1:
-        return _serve_sharded(args, requests, chargers, config)
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = _load_fault_plan(args.fault_plan, requests, chargers)
-        if fault_plan.shard_kills():
-            print(
-                "shard_kill events require --shards > 1", file=sys.stderr
+    requests: list = []
+    plan = None
+    if not args.recover_only:
+        if args.trace:
+            requests = read_trace(args.trace)
+        else:
+            requests = generate_requests(
+                args.n,
+                rate=args.rate,
+                field=Field(args.field, args.field),
+                profile=args.loadgen,
+                deadline_slack=args.deadline_slack,
+                max_price_factor=args.max_price_factor,
+                rng=args.seed,
             )
-            return 2
-        if fault_plan.journal_faults() and not args.journal:
+        if args.fault_plan:
+            plan = _load_fault_plan(args.fault_plan, requests, chargers, args.shards)
+            if plan.journal_faults() and args.shards > 1:
+                print(
+                    "journal faults are per-kernel; with --shards > 1 use "
+                    "shard_kill events instead (seed:N generates them)",
+                    file=sys.stderr,
+                )
+                return 2
+            if plan.can_kill() and not args.journal:
+                print(
+                    "--fault-plan with journal faults, kills, snapshot or "
+                    "recovery faults requires --journal",
+                    file=sys.stderr,
+                )
+                return 2
+
+    try:
+        service = _open_service(args, chargers, config, plan, recover=args.recover_only)
+    except ServiceError as exc:
+        _structured_error(exc)
+        return 3
+    if not args.recover_only:
+        service, stats = drive(service, requests, plan, advance_to=args.duration)
+        if plan is not None:
             print(
-                "--fault-plan with journal faults requires --journal",
-                file=sys.stderr,
+                f"faults: {len(plan)} scheduled, {stats['crashes']} crashes, "
+                f"{stats['kills']} kills ({stats['torn_kills']} torn, "
+                f"{stats['skipped_kills']} skipped)"
             )
-            return 2
-
-    if fault_plan is not None and fault_plan.journal_faults():
-        from .faults import drive_with_recovery
-
-        service, fault_stats = drive_with_recovery(
-            args.journal, chargers, requests, fault_plan,
-            config=config, advance_to=args.duration,
-        )
-        print(
-            f"faults: {len(fault_plan)} scheduled, "
-            f"{fault_stats['crashes']} crashes, "
-            f"{fault_stats['recoveries']} recoveries"
-        )
-    elif fault_plan is not None:
-        from .faults import drive
-
-        service = ChargingService(
-            chargers, config=config, journal_path=args.journal,
-            snapshot_every=args.snapshot_every, snapshot_keep=args.snapshot_keep,
-        )
-        drive(service, requests, fault_plan, advance_to=args.duration)
-        print(f"faults: {len(fault_plan)} scheduled")
-    else:
-        service = ChargingService(
-            chargers, config=config, journal_path=args.journal,
-            snapshot_every=args.snapshot_every, snapshot_keep=args.snapshot_keep,
-        )
-        for request in requests:
-            service.submit(request)
-        if args.duration is not None:
-            service.advance(args.duration)
-        service.drain()
-
-    counts = service.counts()
-    sessions = service.final_schedule()
-    print(f"requests: {len(requests)}  sessions: {len(sessions)}")
-    print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
-    ops = service.planner.ops
-    print(
-        f"replanner: {ops['moves']} moves, {ops['repair_moves']} repairs, "
-        f"{ops['full_solves']} full solves"
-    )
+            print(
+                f"supervisor: {stats['failures']} failures, "
+                f"{stats['restarts']} restarts, "
+                f"{stats['recoveries']} recoveries, "
+                f"{stats['escalations']} escalations "
+                f"(logical backoff {stats['total_backoff']:.1f} s)"
+            )
+    _print_summary(service, None if args.recover_only else len(requests))
 
     if args.metrics_json:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
@@ -660,30 +538,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             fh.write("\n")
         print(f"wrote {args.metrics_json}", file=sys.stderr)
 
+    service.close()
     if args.check_recovery:
-        from .errors import ServiceError
-
-        service.journal.close()
         try:
-            recovered = ChargingService.recover(
-                args.journal, chargers, config=config,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
+            recovered = _open_service(args, chargers, config, recover=True)
         except ServiceError as exc:
             _structured_error(exc)
             return 3
         ok = (
-            recovered.final_schedule() == sessions
+            recovered.final_schedule() == service.final_schedule()
             and recovered.metrics_snapshot() == service.metrics_snapshot()
         )
-        recovered.journal.close()
+        recovered.close()
         if not ok:
             print("recovery check FAILED: recovered state diverged", file=sys.stderr)
             return 1
         print("recovery check OK", file=sys.stderr)
-    if service.journal is not None:
-        service.journal.close()
     return 0
 
 

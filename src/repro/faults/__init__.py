@@ -20,29 +20,34 @@ Layout:
 - :mod:`.executor` — :class:`FaultyExecutor`: a parallel executor whose
   workers die (``os._exit``) on scheduled attempts.
 - :mod:`.tasks` — module-qualified chaos task kinds for spawned workers.
-- :mod:`.driver` — feed a request stream *and* a fault plan into a
-  :class:`~repro.service.kernel.ChargingService`, including the
-  crash → recover → re-feed loop the chaos suite asserts byte-identity
-  over.
+- :mod:`.driver` — :func:`merge_timeline`, the one timeline builder, and
+  :func:`drive`, the one loop that feeds a request stream *and* a fault
+  plan into any :class:`~repro.service.kernel.Service`.
+- :mod:`.supervisor` — :class:`ShardSupervisor`, the one failure policy:
+  a dead unit (a shard, or a whole bare kernel) is recovered from its
+  journal and re-fed; :func:`drive` supervises whenever the plan can
+  kill something.
 
 See ``docs/FAULTS.md`` for the fault model and the failure-semantics
 state diagram.
 """
 
-from .driver import apply_event, drive, drive_with_recovery, merge_timeline
+from .driver import apply_event, drive, merge_timeline
 from .executor import FaultyExecutor
 from .journal import FaultyJournal
 from .plan import FAULT_KINDS, SUPERVISOR_KINDS, FaultEvent, FaultPlan
+from .supervisor import SUPERVISOR_JOURNAL_NAME, ShardSupervisor
 
 __all__ = [
     "FAULT_KINDS",
+    "SUPERVISOR_JOURNAL_NAME",
     "SUPERVISOR_KINDS",
     "FaultEvent",
     "FaultPlan",
     "FaultyJournal",
     "FaultyExecutor",
+    "ShardSupervisor",
     "apply_event",
     "drive",
-    "drive_with_recovery",
     "merge_timeline",
 ]

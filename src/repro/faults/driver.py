@@ -1,67 +1,76 @@
 """Feed a request stream *and* a fault plan into a charging service.
 
-:func:`merge_timeline` interleaves submissions with kernel fault events
-into one deterministic, time-sorted timeline (submissions first at equal
-times, so a same-instant ``no_show`` cancellation finds its request).
-:func:`drive` feeds a timeline into an existing service —
-the fault-free path, and the in-memory chaos path.
+:func:`merge_timeline` is the one timeline builder: submissions, kernel
+fault events and supervisor chaos events in one deterministic,
+time-sorted list.  :func:`drive` is the one feed loop: it applies the
+timeline to any :class:`~repro.service.kernel.Service` — a bare
+:class:`~repro.service.kernel.ChargingService` or a
+:class:`~repro.shard.service.ShardedService` facade.
 
-:func:`drive_with_recovery` is the full crash loop: the service journals
-through a :class:`~repro.faults.journal.FaultyJournal`, and whenever an
-injected write failure "kills the daemon"
-(:class:`~repro.errors.JournalWriteError` for a clean ``ENOSPC``,
-:class:`~repro.errors.InjectedFaultError` for a torn mid-record write),
-the dead service object is abandoned,
-:meth:`~repro.service.kernel.ChargingService.recover` rebuilds a fresh
-one from the longest valid journal prefix, and the *entire* timeline is
-re-fed from the start — every kernel input is idempotent (known request
-ids, applied fault keys), so the re-feed no-ops through everything
-already journaled and continues from the crash point.  The surviving
-``fail_at`` dict is shared across journal instances, so multi-fault plans
-arm correctly: fired faults stay fired, later faults stay armed (record
-numbering is stable because recovery is byte-identical).
+Failure handling is a policy, chosen by the plan: when it holds anything
+that can kill a unit (journal write faults, shard kills, snapshot
+faults, recovery crashes), :func:`drive` feeds the service through a
+:class:`~repro.faults.supervisor.ShardSupervisor`, which recovers each
+dead unit from its journal and re-feeds the processed inputs — every
+kernel input is idempotent (known request ids, applied fault keys), so
+the re-feed no-ops through everything already journaled and regenerates
+exactly what was lost.  The run converges byte-identical to a fault-free
+run of the same timeline.  Journal faults fire only in a service that
+journals through a :class:`~repro.faults.journal.FaultyJournal` armed
+with ``plan.journal_faults()``; the supervisor keeps those faults armed
+across recoveries.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import InjectedFaultError, JournalWriteError, ServiceError
-from ..service.kernel import ChargingService, ServiceConfig
+from ..errors import ServiceError
+from ..service.kernel import Service
 from ..service.request import ChargingRequest
-from .journal import FaultyJournal
-from .plan import FaultEvent, FaultPlan
+from .plan import KERNEL_KINDS, SUPERVISOR_KINDS, FaultEvent, FaultPlan
+from .supervisor import ShardSupervisor, zero_stats
 
-__all__ = ["apply_event", "drive", "drive_with_recovery", "merge_timeline"]
+__all__ = ["apply_event", "drive", "merge_timeline"]
 
-#: One timeline item: ``("submit", t, ChargingRequest)`` or
-#: ``("fault", t, FaultEvent)``.
+#: One timeline item: ``("submit", t, ChargingRequest)``,
+#: ``("fault", t, FaultEvent)`` for a kernel fault, or
+#: ``(kind, t, FaultEvent)`` for a supervisor chaos event.
 TimelineItem = Tuple[str, float, Any]
 
 
 def merge_timeline(
     requests: Sequence[ChargingRequest], plan: FaultPlan
 ) -> List[TimelineItem]:
-    """Interleave submissions and kernel fault events, time-sorted.
+    """Interleave submissions, kernel faults and chaos events, time-sorted.
 
-    At equal times submissions come first (priority 0 vs 1), then kind,
-    then id — a total, deterministic order.  Journal and worker faults
-    are not timeline items; they key on seq / task index, not time.
+    One sort key, ``(t, priority, kind, id/target)``: at equal times
+    submissions come first (priority 0, so a same-instant ``no_show``
+    finds its request), then kernel faults (1), then supervisor chaos
+    events (2, so a killed unit has processed every same-instant input
+    before dying) — a total, deterministic order.  Journal, worker and
+    recovery faults are not timeline items; they key on seq / task index
+    / recovery attempt, not time.
     """
     items: List[Tuple[Tuple[float, int, str, str], TimelineItem]] = []
     for req in requests:
         key = (float(req.submitted_at), 0, "submit", req.request_id)
         items.append((key, ("submit", float(req.submitted_at), req)))
-    for event in plan.kernel_events():
-        key = (float(event.t), 1, event.kind, event.target)
-        items.append((key, ("fault", float(event.t), event)))
+    for event in plan.events:
+        if event.kind in KERNEL_KINDS:
+            priority, tag = 1, "fault"
+        elif event.kind in SUPERVISOR_KINDS:
+            priority, tag = 2, event.kind
+        else:
+            continue
+        key = (float(event.t), priority, event.kind, event.target)
+        items.append((key, (tag, float(event.t), event)))
     items.sort(key=lambda pair: pair[0])
     return [item for _key, item in items]
 
 
-def apply_event(service: ChargingService, item: TimelineItem) -> None:
-    """Apply one timeline item to *service*."""
+def apply_event(service: Service, item: TimelineItem) -> None:
+    """Apply one submission or kernel-fault timeline item to *service*."""
     tag, t, payload = item
     if tag == "submit":
         service.submit(payload)
@@ -75,107 +84,46 @@ def apply_event(service: ChargingService, item: TimelineItem) -> None:
         service.cancel(event.target, at=t, reason=event.reason or "cancelled")
     elif event.kind == "no_show":
         service.cancel(event.target, at=t, reason=event.reason or "no-show")
-    else:  # pragma: no cover - merge_timeline filters to kernel kinds
+    else:
         raise ServiceError(f"not a kernel fault kind: {event.kind!r}")
 
 
 def drive(
-    service: ChargingService,
+    service: Service,
     requests: Sequence[ChargingRequest],
     plan: Optional[FaultPlan] = None,
-    drain: bool = True,
+    *,
     advance_to: Optional[float] = None,
-) -> ChargingService:
-    """Feed *requests* interleaved with *plan*'s kernel faults; no crashes.
+    drain: bool = True,
+) -> Tuple[Service, Dict[str, Any]]:
+    """Feed *requests* and *plan* into *service*, healing what dies.
 
     ``advance_to`` optionally drives the clock past the last event before
-    the drain (the ``ccs-serve --duration`` knob).  Journal/worker faults
-    in the plan are ignored here — use :func:`drive_with_recovery`
-    (journal) or :class:`~repro.faults.executor.FaultyExecutor` (workers).
+    the drain (the ``ccs-serve --duration`` knob).  Returns ``(service,
+    stats)``: the service as it stands at the end — a recovered bare
+    kernel is a new object — and the supervision tally
+    (:func:`~repro.faults.supervisor.zero_stats` keys plus
+    ``journal_faults_fired``, the ``(seq, mode)`` of each fired journal
+    fault); all zeros when the plan can kill nothing.
     """
-    for item in merge_timeline(requests, plan if plan is not None else FaultPlan()):
-        apply_event(service, item)
-    if advance_to is not None:
-        service.advance(advance_to)
-    if drain:
-        service.drain()
-    return service
-
-
-def drive_with_recovery(
-    journal_path: Union[str, Path],
-    chargers: Sequence[Any],
-    requests: Sequence[ChargingRequest],
-    plan: FaultPlan,
-    mobility: Optional[Any] = None,
-    scheme: Optional[Any] = None,
-    config: Optional[ServiceConfig] = None,
-    drain: bool = True,
-    advance_to: Optional[float] = None,
-) -> Tuple[ChargingService, Dict[str, Any]]:
-    """Run the full crash → recover → re-feed loop (module docstring).
-
-    Returns ``(service, stats)`` where *stats* counts the injected
-    crashes and successful recoveries and lists the fired journal faults
-    as ``(seq, mode)``.
-
-    A fault can fire *during recovery* too: replay re-derives past the
-    crash point (the input that was mid-derivation when the daemon died
-    is itself in the journal prefix), so a later armed seq can be reached
-    while replaying — exactly like a disk that keeps failing while the
-    daemon restarts.  Recovery is simply retried; each crash consumes one
-    armed fault, so the loop is bounded by the plan.
-    """
-    fail_at = plan.journal_faults()  # shared; FaultyJournal pops fired entries
-    budget = len(fail_at)  # every crash fires (and disarms) exactly one fault
-    timeline = merge_timeline(requests, plan)
-    journals: List[FaultyJournal] = []
-    stats: Dict[str, Any] = {"crashes": 0, "recoveries": 0}
-
-    def factory(path: Union[str, Path]) -> FaultyJournal:
-        journal = FaultyJournal(path, truncate=True, sync=False, fail_at=fail_at)
-        journals.append(journal)
-        return journal
-
-    def crashed() -> None:
-        stats["crashes"] += 1
-        if stats["crashes"] > budget:
-            raise ServiceError(
-                f"fault plan still crashing after {budget} armed faults; "
-                "a journal fault seq is being re-armed or re-hit"
-            )
-        journals[-1].close()
-
-    service = ChargingService(
-        chargers, mobility=mobility, scheme=scheme, config=config,
-        journal=factory(journal_path),
+    plan = plan if plan is not None else FaultPlan()
+    supervisor = ShardSupervisor(service, plan=plan) if plan.can_kill() else None
+    feed: Service = service if supervisor is None else supervisor
+    try:
+        for item in merge_timeline(requests, plan):
+            if supervisor is not None and item[0] in SUPERVISOR_KINDS:
+                supervisor.inject(item[2])
+            else:
+                apply_event(feed, item)
+        if advance_to is not None:
+            feed.advance(advance_to)
+        if drain:
+            feed.drain()
+    finally:
+        if supervisor is not None:
+            supervisor.close()
+    if supervisor is None:
+        return service, dict(zero_stats(), journal_faults_fired=[])
+    return supervisor.service, dict(
+        supervisor.stats, journal_faults_fired=supervisor.fired_faults()
     )
-    while True:
-        try:
-            for item in timeline:
-                apply_event(service, item)
-            if advance_to is not None:
-                service.advance(advance_to)
-            if drain:
-                service.drain()
-            break
-        except (InjectedFaultError, JournalWriteError):
-            # The "daemon" is dead: abandon its in-memory state entirely
-            # and rebuild from the longest valid journal prefix, retrying
-            # if the disk fails again mid-replay.
-            crashed()
-            while True:
-                try:
-                    service = ChargingService.recover(
-                        journal_path, chargers, mobility=mobility,
-                        scheme=scheme, config=config, journal_factory=factory,
-                    )
-                    stats["recoveries"] += 1
-                    break
-                except (InjectedFaultError, JournalWriteError):
-                    crashed()
-    stats["journal_faults_fired"] = sorted(
-        entry for journal in journals for entry in journal.fired
-    )
-    stats["journal_faults_unfired"] = sorted(fail_at.items())
-    return service, stats

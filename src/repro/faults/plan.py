@@ -22,18 +22,19 @@ Event kinds:
                         a ``torn`` mid-record crash
 ``worker_crash``        executor task index *target* dies (``os._exit``)
                         on its first ``count`` attempts
-``shard_kill``          shard *target* (id as str) is killed at ``t`` and
-                        immediately recovered from its journal; ``mode``
-                        ``"torn"`` first damages the journal tail
-``snapshot_corrupt``    shard *target*'s newest state snapshot file is
+``shard_kill``          unit *target* (a shard id as str, or ``"0"`` for
+                        a bare kernel) is killed at ``t`` and immediately
+                        recovered from its journal; ``mode`` ``"torn"``
+                        first damages the journal tail
+``snapshot_corrupt``    unit *target*'s newest state snapshot file is
                         garbled at ``t`` — recovery must detect the
                         checksum failure and fall back (older snapshot,
                         then full replay), never trust it
-``crash_in_snapshot``   shard *target* "dies mid-snapshot-write" at
+``crash_in_snapshot``   unit *target* "dies mid-snapshot-write" at
                         ``t``: a half-written ``*.tmp`` sibling is left
-                        next to the journal and the shard is killed;
+                        next to the journal and the unit is killed;
                         recovery must ignore the litter
-``recovery_crash``      shard *target*'s *recovery itself* crashes on its
+``recovery_crash``      unit *target*'s *recovery itself* crashes on its
                         first ``count`` attempts (the replay journal's
                         writes fail); ``mode`` picks ``enospc``/``torn``
                         — the supervisor's crash-loop backoff/escalation
@@ -42,9 +43,10 @@ Event kinds:
 
 Kernel events land at logical-clock times; journal faults key on the
 record sequence number (stable across recovery, because recovery is
-byte-identical); worker crashes key on the task index; shard kills key
-on the shard id and are consumed by
-:func:`repro.shard.driver.drive_sharded`.
+byte-identical); worker crashes key on the task index; shard kills,
+snapshot faults and recovery crashes key on the unit id (a shard, or 0
+for a bare kernel) and are consumed by the supervisor
+:func:`repro.faults.driver.drive` wraps the service in.
 
 :meth:`FaultPlan.generate` draws from *shared* per-kind streams, so the
 set of entities present changes every draw — fine for single-kernel
@@ -52,8 +54,8 @@ chaos, wrong for shard-stability tests.  :meth:`FaultPlan.generate_keyed`
 instead keys each draw by entity id (``derive_seed(seed, "outage", cid)``,
 ``derive_seed(seed, "cancel", rid)``), making each entity's fate a pure
 function of ``(seed, entity)`` — stable under any subsetting, including
-spatial sharding.  :meth:`FaultPlan.generate_shard_kills` does the same
-per shard via ``derive_seed(seed, "shard", shard_id)``.
+spatial sharding.  :meth:`FaultPlan.generate_supervised` does the same
+per shard via ``derive_seed(seed, "supervised", shard_id)``.
 """
 
 from __future__ import annotations
@@ -82,12 +84,14 @@ FAULT_KINDS = (
     "recovery_crash",
 )
 
-#: Kinds the *supervised* sharded chaos driver consumes as timeline
-#: items (``recovery_crash`` is armed per shard instead — it keys on
-#: recovery attempts, not on a time).
+#: Kinds the supervisor consumes as timeline items (``recovery_crash``
+#: is armed per unit instead — it keys on recovery attempts, not on a
+#: time).
 SUPERVISOR_KINDS = frozenset(
     {"shard_kill", "snapshot_corrupt", "crash_in_snapshot"}
 )
+
+_UNIT_KILLING_KINDS = SUPERVISOR_KINDS | {"journal_write", "recovery_crash"}
 
 #: Kinds the service kernel consumes as input events.
 KERNEL_KINDS = frozenset({"charger_down", "charger_up", "cancel", "no_show"})
@@ -221,18 +225,14 @@ class FaultPlan:
             if e.kind == "worker_crash"
         }
 
-    def shard_kills(self) -> List[FaultEvent]:
-        """``shard_kill`` events in time order, for the sharded chaos driver."""
-        return [e for e in self.events if e.kind == "shard_kill"]
-
-    def supervisor_events(self) -> List[FaultEvent]:
-        """Timeline events the supervised driver consumes
-        (``shard_kill`` / ``snapshot_corrupt`` / ``crash_in_snapshot``),
-        in time order."""
-        return [e for e in self.events if e.kind in SUPERVISOR_KINDS]
+    def can_kill(self) -> bool:
+        """Whether any event can kill a service unit — a journal fault,
+        a supervisor event, or a recovery crash — so a run must be
+        supervised to finish."""
+        return any(e.kind in _UNIT_KILLING_KINDS for e in self.events)
 
     def recovery_crashes(self) -> Dict[int, Dict[int, str]]:
-        """``{shard id: {seq: mode}}`` arming per-shard *recovery* crashes.
+        """``{unit id: {seq: mode}}`` arming per-unit *recovery* crashes.
 
         A ``recovery_crash`` event with ``count=N`` arms replay-journal
         write failures at record seqs ``1..N``: each recovery attempt of
@@ -460,45 +460,6 @@ class FaultPlan:
         return cls(events)
 
     @classmethod
-    def generate_shard_kills(
-        cls,
-        seed: int,
-        n_shards: int,
-        horizon: float,
-        *,
-        kill_prob: float = 0.5,
-        torn_prob: float = 0.5,
-    ) -> "FaultPlan":
-        """Draw ``shard_kill`` events, one coin per shard.
-
-        Shard *s* draws from ``derive_seed(seed, "shard", s)``: with
-        ``kill_prob`` it is killed once at a uniform time in ``[0,
-        horizon)``, torn (journal tail damaged) with ``torn_prob``,
-        cleanly otherwise.  Because each shard's draw is keyed by its id,
-        changing ``n_shards`` never reshuffles the fate of the shards
-        that exist under both counts.
-        """
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ConfigurationError(
-                f"horizon must be finite and positive, got {horizon}"
-            )
-        events: List[FaultEvent] = []
-        for sid in range(n_shards):
-            rng = ensure_rng(derive_seed(int(seed), "shard", sid))
-            if rng.random() < kill_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(rng.uniform(0.0, horizon)),
-                        kind="shard_kill",
-                        target=str(sid),
-                        mode="torn" if rng.random() < torn_prob else None,
-                    )
-                )
-        return cls(events)
-
-    @classmethod
     def generate_supervised(
         cls,
         seed: int,
@@ -514,11 +475,11 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Draw the self-healing chaos mix, one keyed stream per shard.
 
-        Extends :meth:`generate_shard_kills` with the snapshot/recovery
-        fault categories: each shard independently draws a kill (torn or
-        clean), a snapshot corruption shortly before it, a
-        crash-during-snapshot-write, and up to ``max_recovery_crashes``
-        crashes of its recovery replay.  Every coin comes from
+        Each shard independently draws a kill (torn or clean) at a
+        uniform time in ``[horizon/4, horizon)``, a snapshot corruption
+        before it, a crash-during-snapshot-write, and up to
+        ``max_recovery_crashes`` crashes of its recovery replay.  Every
+        coin comes from
         ``derive_seed(seed, "supervised", shard)``, so the plan for shard
         *s* is a pure function of ``(seed, s)`` — stable under any shard
         count.

@@ -33,7 +33,8 @@ class UnorderedIterationRule(Rule):
     """No iteration over sets in code that feeds fingerprints or goldens.
 
     **Invariant.** Code under ``repro/experiments/exec/``,
-    ``repro/service/``, and ``repro/shard/`` (the places whose outputs
+    ``repro/service/``, ``repro/shard/``, and ``repro/faults/`` (the
+    places whose outputs
     are canonical-JSON
     fingerprinted, journaled, or pinned as goldens) never iterates a
     ``set`` / ``frozenset`` directly — every set is passed through
@@ -63,7 +64,7 @@ class UnorderedIterationRule(Rule):
 
     code = "CCS006"
     title = "iteration over a set in canonical-fingerprint/golden-feeding code"
-    scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/")
+    scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/", "repro/faults/")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         findings: List[Finding] = []

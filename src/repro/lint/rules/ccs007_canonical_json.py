@@ -18,7 +18,7 @@ class CanonicalJsonRule(Rule):
 
     **Invariant.** In the canonical-output subtrees
     (``repro/experiments/exec/``, ``repro/service/``,
-    ``repro/shard/``), every JSON
+    ``repro/shard/``, ``repro/faults/``), every JSON
     serialization call sorts its keys — or, better, goes through
     :func:`repro.experiments.exec.task.canonical_json`, which also
     normalizes ``-0.0`` and rejects non-finite floats.
@@ -39,7 +39,7 @@ class CanonicalJsonRule(Rule):
 
     code = "CCS007"
     title = "json.dumps/json.dump without sort_keys=True in canonical-output code"
-    scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/")
+    scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/", "repro/faults/")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         from .helpers import collect_import_aliases, resolve_dotted

@@ -13,7 +13,8 @@ Layout:
 - :mod:`.admission` — bounded-queue admission with explicit rejection reasons;
 - :mod:`.plan` — growable instance + coalition structure + incremental
   replanner (fold / improve / repair);
-- :mod:`.kernel` — the :class:`ChargingService` event loop;
+- :mod:`.kernel` — the :class:`ChargingService` event loop and the
+  :class:`Service` protocol every driver feeds;
 - :mod:`.journal` — append-only checksummed JSONL durability, with
   :meth:`ChargingService.recover` crash recovery;
 - :mod:`.snapshot` — checksummed, atomically-written state snapshots
@@ -30,7 +31,7 @@ semantics.
 from .admission import AdmissionController, AdmissionDecision, earliest_departure
 from .clock import ServiceClock
 from .journal import Journal, JournalRead, record_checksum
-from .kernel import ChargingService, ServiceConfig
+from .kernel import ChargingService, Service, ServiceConfig
 from .snapshot import (
     SNAPSHOT_SCHEMA,
     list_snapshots,
@@ -61,6 +62,7 @@ __all__ = [
     "JournalRead",
     "record_checksum",
     "ChargingService",
+    "Service",
     "ServiceConfig",
     "SNAPSHOT_SCHEMA",
     "snapshot_path",

@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
@@ -82,7 +82,7 @@ from .plan import IncrementalPlanner
 from .request import ChargingRequest, RequestRecord, RequestState
 from .snapshot import list_snapshots, load_snapshot, prune_snapshots, write_snapshot
 
-__all__ = ["ServiceConfig", "ChargingService"]
+__all__ = ["ServiceConfig", "Service", "ChargingService"]
 
 #: Fixed histogram buckets (seconds / ratios / sizes) — part of the
 #: snapshot contract, so recovery comparisons bin identically.
@@ -151,6 +151,37 @@ class ServiceConfig:
             "repair_rounds": int(self.repair_rounds),
             "tol": float(self.tol),
         }
+
+
+class Service(Protocol):
+    """What a driver or supervisor needs from a charging service.
+
+    :class:`ChargingService` and
+    :class:`~repro.shard.service.ShardedService` both satisfy it
+    structurally; the protocol is an annotation, not a base class.
+    """
+
+    def submit(self, request: ChargingRequest) -> str: ...
+
+    def advance(self, to: float) -> None: ...
+
+    def drain(self) -> None: ...
+
+    def fail_charger(self, charger_id: str, at: Optional[float] = None) -> bool: ...
+
+    def restore_charger(self, charger_id: str, at: Optional[float] = None) -> bool: ...
+
+    def cancel(
+        self, request_id: str, at: Optional[float] = None, reason: str = "cancelled"
+    ) -> Optional[str]: ...
+
+    def counts(self) -> Dict[str, int]: ...
+
+    def final_schedule(self) -> List[Dict[str, Any]]: ...
+
+    def metrics_snapshot(self) -> Dict[str, Any]: ...
+
+    def close(self) -> None: ...
 
 
 class ChargingService:
@@ -888,6 +919,11 @@ class ChargingService:
         here (one crashed and recovered, the other did not).
         """
         return self.metrics.snapshot(operational=True)
+
+    def close(self) -> None:
+        """Close the journal, if any (idempotent)."""
+        if self.journal is not None:
+            self.journal.close()
 
     # ------------------------------------------------------------------ #
     # state snapshots (see docs/RECOVERY.md)

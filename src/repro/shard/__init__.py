@@ -17,29 +17,23 @@ Layout:
   a pure function of the inputs, so replay is byte-identical;
 - :mod:`.service` — :class:`ShardedService`: the kernel-compatible
   facade (submit/advance/drain/faults), per-shard journals + manifest,
-  merged metrics and schedules, whole-service and per-shard recovery;
-- :mod:`.tasks` — timeline partitioning and per-shard replay tasks over
-  the PR 2 executor (serial == parallel, byte-identical);
-- :mod:`.driver` — :func:`drive_sharded`: chaos driving with
-  ``shard_kill`` fault events (kill + recover one shard, others keep
-  serving);
-- :mod:`.supervisor` — :class:`ShardSupervisor` /
-  :func:`drive_supervised`: self-healing — automatic failover with
-  seed-derived backoff, crash-loop escalation into degraded-mode
-  routing, and a checksummed supervision journal (see
-  ``docs/RECOVERY.md``).
+  merged metrics and schedules, whole-service and per-shard recovery.
+
+Failure handling is not in this package: :func:`repro.faults.drive`
+feeds a facade like any other service, and
+:class:`repro.faults.ShardSupervisor` heals dead shards — automatic
+failover with seed-derived backoff, crash-loop escalation into
+degraded-mode routing, and a checksummed supervision journal (see
+``docs/RECOVERY.md``).
 
 Degenerate-case guarantee: ``n_shards=1`` is byte-identical — journal,
 metrics snapshot, final schedule — to the unsharded service on every
 input stream.  See ``docs/SHARDING.md``.
 """
 
-from .driver import drive_sharded, sharded_timeline
 from .partition import GridPartition, grid_shape
 from .router import SpatialRouter
 from .service import ShardedService, merge_final_schedules, shard_journal_name
-from .supervisor import ShardSupervisor, drive_supervised, supervised_timeline
-from .tasks import SHARD_REPLAY_KIND, partition_timeline, replay_sharded
 
 __all__ = [
     "GridPartition",
@@ -48,12 +42,4 @@ __all__ = [
     "ShardedService",
     "merge_final_schedules",
     "shard_journal_name",
-    "SHARD_REPLAY_KIND",
-    "partition_timeline",
-    "replay_sharded",
-    "drive_sharded",
-    "sharded_timeline",
-    "ShardSupervisor",
-    "drive_supervised",
-    "supervised_timeline",
 ]

@@ -4,10 +4,10 @@
 :class:`~repro.service.kernel.ChargingService` kernel — its own journal,
 logical clock, incremental planner, and metrics registry — per
 charger-owning cell of a :class:`~repro.shard.partition.GridPartition`,
-behind a :class:`~repro.shard.router.SpatialRouter`.  The facade exposes
-the same ``submit`` / ``advance`` / ``drain`` / fault-input API as the
-single kernel, so drivers, load generators, and the chaos harness run
-unchanged against it.
+behind a :class:`~repro.shard.router.SpatialRouter`.  The facade
+satisfies the same :class:`~repro.service.kernel.Service` protocol as the
+single kernel, so :func:`repro.faults.drive`, load generators, and the
+supervisor run unchanged against it.
 
 Degenerate-case guarantee (asserted byte-for-byte by the test suite):
 with ``n_shards=1`` the lone kernel receives the same chargers in the
@@ -21,8 +21,8 @@ partition, and :meth:`ShardedService.recover` rebuilds every kernel from
 its own journal — including the router's sticky request→shard assignment,
 recovered from the ``submit`` records each journal holds.  Killing and
 recovering a *single* shard (:meth:`kill_and_recover_shard`) leaves the
-other kernels untouched; see :mod:`repro.shard.driver` for the chaos loop
-that exercises it.
+other kernels untouched; :class:`repro.faults.ShardSupervisor` calls it
+to heal a dead shard.
 
 Semantics that genuinely relax under ``n_shards > 1`` (documented in
 docs/SHARDING.md): border devices are only quoted against their candidate
@@ -56,7 +56,12 @@ from ..wpt import Charger
 from .partition import GridPartition
 from .router import SpatialRouter
 
-__all__ = ["ShardedService", "merge_final_schedules", "shard_journal_name"]
+__all__ = [
+    "ShardedService",
+    "merge_final_schedules",
+    "read_manifest",
+    "shard_journal_name",
+]
 
 #: Manifest format version; bump on layout changes.
 MANIFEST_SCHEMA = 1
@@ -96,6 +101,29 @@ def merge_final_schedules(
             merged.append(doc)
     merged.sort(key=lambda s: (s["departed"], s["shard"], s["seq"]))
     return merged
+
+
+def read_manifest(journal_dir: Union[str, Path]) -> Dict[str, Any]:
+    """The partition manifest of a journal directory.
+
+    Raises :class:`~repro.errors.RecoveryError` when it is missing,
+    unparsable, or of another schema version.
+    """
+    path = Path(journal_dir) / MANIFEST_NAME
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError as exc:
+        raise RecoveryError(f"no shard manifest at {path}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RecoveryError(f"shard manifest {path} is corrupt: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
+        got = manifest.get("schema") if isinstance(manifest, dict) else manifest
+        raise RecoveryError(
+            f"unsupported shard manifest schema {got!r} "
+            f"(supported: {MANIFEST_SCHEMA})"
+        )
+    return manifest
 
 
 def _field_for(chargers: Sequence[Charger], field: Optional[Field]) -> Field:
@@ -250,7 +278,7 @@ class ShardedService:
         its in-memory state ran ahead of its journal.  The facade
         surfaces that as :class:`~repro.errors.ShardFailedError` carrying
         the shard id, its logical clock, and the cause, so a
-        :class:`~repro.shard.supervisor.ShardSupervisor` can recover
+        :class:`~repro.faults.supervisor.ShardSupervisor` can recover
         exactly that kernel and retry the interrupted input.
         """
         kernel = self.kernels[sid]
@@ -471,20 +499,17 @@ class ShardedService:
     def kill_and_recover_shard(
         self,
         shard: int,
-        torn: bool = False,
         journal_factory: Optional[Callable[[str], Any]] = None,
     ) -> ChargingService:
         """Kill shard *shard*'s kernel and rebuild it from its journal.
 
         The in-memory kernel is abandoned (its journal closed) and
         :meth:`ChargingService.recover` replays the journal into a fresh
-        kernel — the other shards are never touched.  ``torn=True`` first
-        damages the journal's tail (the last bytes of the final record),
-        simulating a mid-append ``kill -9``: recovery then restarts from
-        the longest valid prefix, and the caller must re-feed the input
-        stream (idempotent) to converge — exactly the
-        :func:`repro.faults.driver.drive_with_recovery` discipline, per
-        shard.  Returns the recovered kernel.
+        kernel — the other shards are never touched.  Recovery restarts
+        from the longest valid journal prefix, so after a torn tail the
+        caller must re-feed the input stream (idempotent) to converge, as
+        :meth:`repro.faults.ShardSupervisor.refeed` does.  Returns the
+        recovered kernel.
 
         The dead kernel is replaced only when recovery *succeeds* — on a
         crash mid-recovery (``journal_factory`` is the fault harness's
@@ -500,8 +525,6 @@ class ShardedService:
         assert kernel.journal is not None
         path = Path(kernel.journal.path)
         kernel.journal.close()
-        if torn:
-            _tear_tail(path)
         recovered = ChargingService.recover(
             path,
             self.shard_chargers[shard],
@@ -554,23 +577,7 @@ class ShardedService:
                 f"journal directory {journal_dir} is owned by a live service "
                 "in this process; close() it before recovering"
             )
-        try:
-            with open(journal_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError as exc:
-            raise RecoveryError(
-                f"no shard manifest at {journal_dir / MANIFEST_NAME}"
-            ) from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RecoveryError(
-                f"shard manifest {journal_dir / MANIFEST_NAME} is corrupt: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
-            got = manifest.get("schema") if isinstance(manifest, dict) else manifest
-            raise RecoveryError(
-                f"unsupported shard manifest schema {got!r} "
-                f"(supported: {MANIFEST_SCHEMA})"
-            )
+        manifest = read_manifest(journal_dir)
         field = Field(manifest["field"]["width"], manifest["field"]["height"])
         service = cls(
             chargers,
@@ -633,15 +640,3 @@ class ShardedService:
             )
         return kernels
 
-
-def _tear_tail(path: Path, nbytes: int = 10) -> None:
-    """Chop *nbytes* off the journal file, tearing its final record.
-
-    Never removes the whole file: at least one byte survives, and a file
-    shorter than *nbytes* loses all but its first byte — the torn-tail
-    shape :meth:`Journal.read_records` is built to survive.
-    """
-    size = path.stat().st_size
-    keep = max(1, size - int(nbytes))
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)

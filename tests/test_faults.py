@@ -15,6 +15,9 @@ Three contracts under test:
    completes and is cached, retries stay within budget, and terminal
    failures surface as one typed :class:`~repro.errors.TaskFailedError`
    carrying the partial results.
+4. **One timeline, one supervised drive loop**: ``merge_timeline``
+   orders equal-time items submit < kernel fault < chaos event, and a
+   bare kernel heals its own deaths under ``drive``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,22 @@ from repro.errors import (
     ConfigurationError,
     InjectedFaultError,
     JournalWriteError,
+    ServiceError,
     TaskFailedError,
 )
 from repro.experiments.exec import ParallelExecutor, ResultCache, SerialExecutor, Task
-from repro.faults import FaultEvent, FaultPlan, FaultyExecutor, FaultyJournal
+from repro.faults import (
+    FaultEvent,
+    FaultPlan,
+    FaultyExecutor,
+    FaultyJournal,
+    ShardSupervisor,
+    drive,
+    merge_timeline,
+)
+from repro.geometry import Point
+from repro.service import ChargingService, ServiceConfig, generate_requests
+from repro.wpt import Charger
 from repro.service.journal import Journal
 
 
@@ -329,3 +344,92 @@ class TestBackoff:
             ParallelExecutor(jobs=1, retries=-1)
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=1, task_timeout=0.0)
+
+
+def _stream(n=12, seed=3):
+    return generate_requests(
+        n, rate=0.1, deadline_slack=2000.0, max_price_factor=1.5, rng=seed
+    )
+
+
+def _kernel(path, fail_at=None):
+    chargers = [
+        Charger(charger_id="c0", position=Point(20.0, 20.0)),
+        Charger(charger_id="c1", position=Point(80.0, 80.0)),
+    ]
+    config = ServiceConfig(epoch=60.0, window=120.0)
+    if fail_at is None:
+        return ChargingService(chargers, config=config, journal_path=path,
+                               journal_sync=False)
+    return ChargingService(chargers, config=config,
+                           journal=FaultyJournal(path, fail_at=fail_at))
+
+
+class TestMergeTimeline:
+    def test_equal_times_order_submit_then_fault_then_chaos(self):
+        (req,) = _stream(n=1)
+        t = float(req.submitted_at)
+        plan = FaultPlan([
+            FaultEvent(t=t, kind="shard_kill", target="0"),
+            FaultEvent(t=t, kind="cancel", target=req.request_id),
+            FaultEvent(t=0.0, kind="journal_write", target="3", mode="enospc"),
+            FaultEvent(t=0.0, kind="recovery_crash", target="0"),
+        ])
+        items = merge_timeline([req], plan)
+        assert [tag for tag, _t, _p in items] == ["submit", "fault", "shard_kill"]
+        assert all(item_t == t for _tag, item_t, _p in items)
+
+    def test_plan_without_chaos_yields_submits_and_kernel_faults(self):
+        stream = _stream()
+        plan = FaultPlan.generate(
+            5, charger_ids=["c0", "c1"], requests=stream, cancel_prob=0.3
+        )
+        items = merge_timeline(stream, plan)
+        assert {tag for tag, _t, _p in items} == {"submit", "fault"}
+        assert len(items) == len(stream) + len(plan.kernel_events())
+        assert [t for _tag, t, _p in items] == sorted(t for _tag, t, _p in items)
+
+
+class TestSupervisedKernel:
+    """A bare kernel is unit 0: the supervisor heals it in place."""
+
+    def reference(self, tmp_path, stream):
+        ref = _kernel(tmp_path / "ref.jsonl")
+        drive(ref, stream)
+        ref.close()
+        return (tmp_path / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("mode", [None, "torn"])
+    def test_kill_of_unit_zero_converges(self, tmp_path, mode):
+        stream = _stream()
+        t_kill = float(stream[len(stream) // 2].submitted_at)
+        plan = FaultPlan([FaultEvent(t=t_kill, kind="shard_kill", target="0", mode=mode)])
+        svc = _kernel(tmp_path / "svc.jsonl")
+        healed, stats = drive(svc, stream, plan)
+        healed.close()
+        assert healed is not svc  # recovery replaced the dead kernel
+        assert (stats["kills"], stats["torn_kills"]) == (1, int(mode == "torn"))
+        assert stats["recoveries"] == stats["failures"] == 1
+        assert stats["crashes"] == 0 and stats["journal_faults_fired"] == []
+        assert (tmp_path / "svc.jsonl").read_bytes() == self.reference(tmp_path, stream)
+
+    def test_kill_of_a_missing_unit_is_skipped(self, tmp_path):
+        stream = _stream()
+        plan = FaultPlan([FaultEvent(t=1.0, kind="shard_kill", target="3")])
+        svc = _kernel(tmp_path / "svc.jsonl")
+        healed, stats = drive(svc, stream, plan)
+        healed.close()
+        assert healed is svc
+        assert (stats["kills"], stats["skipped_kills"]) == (0, 1)
+
+    def test_crash_budget_guard(self, tmp_path):
+        stream = _stream()
+        svc = _kernel(tmp_path / "svc.jsonl", fail_at={4: "enospc"})
+        sup = ShardSupervisor(svc)
+        # A fault armed behind the supervisor's back exceeds the budget
+        # of one crash per fault armed when supervision began.
+        svc.journal.fail_at[6] = "enospc"
+        with pytest.raises(ServiceError, match="still crashing after 1 armed"):
+            for req in stream:
+                sup.submit(req)
+        sup.service.close()

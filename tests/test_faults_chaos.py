@@ -35,7 +35,7 @@ from repro.service import (
     ServiceConfig,
     generate_requests,
 )
-from repro.faults import FaultPlan, apply_event, drive, drive_with_recovery, merge_timeline
+from repro.faults import FaultPlan, FaultyJournal, apply_event, drive, merge_timeline
 from repro.wpt import Charger
 
 CONFIG = ServiceConfig(epoch=60.0, window=120.0)
@@ -65,6 +65,17 @@ def make_plan(seed, requests, journal_faults=0):
         no_show_prob=0.1,
         journal_faults=journal_faults,
     )
+
+
+def crash_loop(path, requests, plan):
+    """The crash -> recover -> re-feed loop: a kernel journaling through
+    a FaultyJournal armed with the plan's journal faults, driven (and so
+    supervised) until every input landed."""
+    svc = ChargingService(
+        make_chargers(), config=CONFIG,
+        journal=FaultyJournal(path, fail_at=plan.journal_faults()),
+    )
+    return drive(svc, requests, plan)
 
 
 def assert_invariants(svc):
@@ -156,9 +167,8 @@ class TestDurabilityUnderChaos:
         requests = make_stream(seed)
         plan = make_plan(seed + 1, requests, journal_faults=3)
         path = tmp_path / "faulty.jsonl"
-        svc, stats = drive_with_recovery(path, make_chargers(), requests, plan,
-                                         config=CONFIG)
-        svc.journal.close()
+        svc, stats = crash_loop(path, requests, plan)
+        svc.close()
         ref_path = tmp_path / "ref.jsonl"
         ref = ChargingService(make_chargers(), config=CONFIG,
                               journal_path=ref_path, journal_sync=False)
@@ -187,9 +197,8 @@ class TestDurabilityUnderChaos:
         requests = make_stream(seed, n=15)
         plan = make_plan(seed + 1, requests, journal_faults=faults)
         path = tmp_path / "faulty.jsonl"
-        svc, _stats = drive_with_recovery(path, make_chargers(), requests, plan,
-                                          config=CONFIG)
-        svc.journal.close()
+        svc, _stats = crash_loop(path, requests, plan)
+        svc.close()
         ref_path = tmp_path / "ref.jsonl"
         ref = ChargingService(make_chargers(), config=CONFIG,
                               journal_path=ref_path, journal_sync=False)

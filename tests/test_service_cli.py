@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import serve_main
+from repro.faults import FaultEvent, FaultPlan
 from repro.service import read_trace, write_trace
 from repro.service.loadgen import generate_requests
 
@@ -65,8 +68,9 @@ class TestServeCli:
 
 
 class TestServeRecoveryCli:
-    """``--snapshot-every`` / ``--supervise`` / ``--recover-only`` and the
-    one-line structured error contract (exit 3, JSON on stderr)."""
+    """``--snapshot-every`` / ``--recover-only``, self-healing fault
+    plans, and the one-line structured error contract (exit 3, JSON on
+    stderr)."""
 
     def _run(self, journal, extra=()):
         return serve_main(
@@ -111,7 +115,7 @@ class TestServeRecoveryCli:
                 "--n", "30", "--rate", "0.4", "--seed", "7",
                 "--shards", "4", "--journal", str(journal),
                 "--snapshot-every", "15",
-                "--fault-plan", "seed:3", "--supervise",
+                "--fault-plan", "seed:3",
                 "--check-recovery",
             ]
         )
@@ -150,11 +154,83 @@ class TestServeRecoveryCli:
         assert doc["error"] == "RecoveryError"
 
     def test_flag_validation(self, capsys):
-        assert serve_main(["--supervise"]) == 2
-        assert "--supervise requires --shards > 1" in capsys.readouterr().err
         assert serve_main(["--recover-only"]) == 2
         assert "--recover-only requires --journal" in capsys.readouterr().err
         assert serve_main(["--snapshot-every", "0"]) == 2
         assert "--snapshot-every must be >= 1" in capsys.readouterr().err
         assert serve_main(["--snapshot-keep", "0"]) == 2
         assert "--snapshot-keep must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            FaultEvent(t=0.0, kind="journal_write", target="12", mode="torn"),
+            FaultEvent(t=30.0, kind="shard_kill", target="0", mode="torn"),
+        ],
+        ids=["journal-fault", "kill-unit-0"],
+    )
+    def test_single_kernel_heals_itself(self, tmp_path, capsys, event):
+        plan = tmp_path / "plan.json"
+        FaultPlan([event]).save(plan)
+        rc = serve_main(
+            [
+                "--n", "25", "--rate", "0.4", "--seed", "7", "--shards", "1",
+                "--journal", str(tmp_path / "svc.jsonl"),
+                "--fault-plan", str(plan), "--check-recovery",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "1 recoveries" in captured.out
+        assert "recovery check OK" in captured.err
+
+    def _recover_error(self, capsys, argv):
+        rc = serve_main([*argv, "--recover-only"])
+        err = capsys.readouterr().err.strip()
+        assert rc == 3
+        return json.loads(err.splitlines()[-1])
+
+    def _sharded_run(self, journal, capsys):
+        assert serve_main(
+            ["--n", "25", "--rate", "0.4", "--seed", "7",
+             "--shards", "4", "--journal", str(journal)]
+        ) == 0
+        capsys.readouterr()
+
+    def test_recover_only_missing_journal_creates_nothing(self, tmp_path, capsys):
+        journal = tmp_path / "missing.jsonl"
+        doc = self._recover_error(capsys, ["--journal", str(journal)])
+        assert doc["error"] == "RecoveryError"
+        assert not journal.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_recover_only_infers_a_shard_directory(self, tmp_path, capsys):
+        journal = tmp_path / "svc"
+        self._sharded_run(journal, capsys)
+        assert serve_main(["--journal", str(journal), "--recover-only"]) == 0
+        out = capsys.readouterr().out
+        assert "shards: 4 kernels" in out
+        assert "recovered:" in out
+
+    def test_recover_only_file_with_shards_is_a_structured_error(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "svc.jsonl"
+        assert self._run(journal) == 0
+        capsys.readouterr()
+        doc = self._recover_error(
+            capsys, ["--shards", "4", "--journal", str(journal)]
+        )
+        assert doc["error"] == "RecoveryError"
+        assert "journal directory" in doc["message"]
+
+    def test_recover_only_shard_count_mismatch_is_a_structured_error(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "svc"
+        self._sharded_run(journal, capsys)
+        doc = self._recover_error(
+            capsys, ["--shards", "2", "--journal", str(journal)]
+        )
+        assert doc["error"] == "RecoveryError"
+        assert "4-shard manifest" in doc["message"]

@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, drive
 from repro.faults.plan import FaultEvent
 from repro.geometry import Field, Point
 from repro.service import ServiceConfig, generate_requests
-from repro.shard import ShardedService, drive_sharded, shard_journal_name
+from repro.shard import ShardedService, shard_journal_name
 from repro.wpt import Charger
 
 FIELD = Field(100.0, 100.0)
@@ -45,7 +45,7 @@ def run_to_journals(tmp_path, tag, stream, plan):
         make_chargers(), n_shards=4, field=FIELD, halo=10.0, config=CONFIG,
         journal_dir=tmp_path / tag, journal_sync=False,
     )
-    _, stats = drive_sharded(
+    _, stats = drive(
         svc, stream, plan, advance_to=stream[-1].submitted_at + 300.0
     )
     svc.close()
@@ -113,7 +113,7 @@ class TestShardKillConvergence:
             for sid in svc.kernels
         }
         survivor_ids = [sid for sid in svc.kernels if sid != 1]
-        svc.kill_and_recover_shard(1, torn=False)
+        svc.kill_and_recover_shard(1)
         after = {
             sid: (tmp_path / "live" / shard_journal_name(sid)).read_bytes()
             for sid in svc.kernels
@@ -135,9 +135,9 @@ class TestShardKillConvergence:
             journal_dir=tmp_path / "sparse", journal_sync=False,
         )
         plan = kill_plan(FaultPlan(), [(3, 100.0, None)])  # no kernel there
-        _, stats = drive_sharded(svc, stream, plan)
+        _, stats = drive(svc, stream, plan)
         svc.close()
-        assert stats == {"kills": 0, "torn_kills": 0, "skipped_kills": 1}
+        assert (stats["kills"], stats["torn_kills"], stats["skipped_kills"]) == (0, 0, 1)
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -160,37 +160,40 @@ class TestShardKillConvergence:
         assert journals == ref_journals
 
 
+def kills_of(plan):
+    return [e for e in plan if e.kind == "shard_kill"]
+
+
 class TestShardKillPlans:
+    """Shard kills drawn by ``FaultPlan.generate_supervised``."""
+
     def test_generate_is_deterministic(self):
-        a = FaultPlan.generate_shard_kills(7, 8, horizon=1000.0)
-        b = FaultPlan.generate_shard_kills(7, 8, horizon=1000.0)
+        a = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
+        b = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
         assert a == b
-        for e in a.shard_kills():
-            assert e.kind == "shard_kill"
+        assert kills_of(a)
+        for e in a:
             assert 0 <= int(e.target) < 8
             assert 0.0 <= e.t < 1000.0
+        for e in kills_of(a):
+            assert e.mode in (None, "torn")
 
     def test_keyed_kills_stable_under_shard_count(self):
         # Shard s's fate is a pure function of (seed, s): growing the
         # count never reshuffles the shards both counts share.
-        small = {e.target: e for e in
-                 FaultPlan.generate_shard_kills(3, 4, horizon=500.0)}
-        large = {e.target: e for e in
-                 FaultPlan.generate_shard_kills(3, 16, horizon=500.0)}
-        for target, event in small.items():
-            assert target in large
-            assert large[target].t == event.t
-            assert large[target].mode == event.mode
+        small = FaultPlan.generate_supervised(3, 4, horizon=500.0)
+        large = FaultPlan.generate_supervised(3, 16, horizon=500.0)
+        assert [e for e in large if int(e.target) < 4] == list(small)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate_shard_kills(0, 0, horizon=10.0)
+            FaultPlan.generate_supervised(0, 0, horizon=10.0)
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate_shard_kills(0, 2, horizon=-1.0)
+            FaultPlan.generate_supervised(0, 2, horizon=-1.0)
         with pytest.raises(ConfigurationError):
             FaultEvent(t=0.0, kind="shard_kill", target="1", mode="sideways")
 
     def test_shard_kills_are_not_kernel_events(self):
-        plan = FaultPlan.generate_shard_kills(1, 8, horizon=100.0)
-        assert plan.shard_kills()
+        plan = FaultPlan.generate_supervised(1, 8, horizon=100.0)
+        assert kills_of(plan)
         assert plan.kernel_events() == []

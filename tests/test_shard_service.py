@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.faults import FaultPlan, drive
 from repro.geometry import Field, Point
-from repro.service import ChargingService, ServiceConfig, generate_requests
+from repro.service import ChargingService, Journal, ServiceConfig, generate_requests
 from repro.shard import ShardedService, merge_final_schedules, shard_journal_name
 from repro.shard.service import MANIFEST_NAME
 from repro.wpt import Charger
@@ -194,3 +195,62 @@ class TestDurability:
         svc.close()
         names = sorted(p.name for p in (tmp_path / "journals").iterdir())
         assert names == [MANIFEST_NAME] + [shard_journal_name(s) for s in range(4)]
+
+
+def journal_records(svc):
+    """``{shard: [record, ...]}`` read back from each shard's journal."""
+    return {
+        sid: Journal.read_records(svc.journal_dir / shard_journal_name(sid))[0]
+        for sid in svc.kernels
+    }
+
+
+class TestOwnership:
+    """Every input lands in exactly the journal of the shard that owns it."""
+
+    def drive_with_faults(self, tmp_path, plan=None):
+        stream = make_stream()
+        svc = ShardedService(
+            make_chargers(), n_shards=4, field=FIELD, halo=10.0, config=CONFIG,
+            journal_dir=tmp_path / "journals", journal_sync=False,
+        )
+        drive(svc, stream, plan, advance_to=stream[-1].submitted_at + 300.0)
+        svc.close()
+        return svc, stream
+
+    def test_every_submission_lands_exactly_once(self, tmp_path):
+        svc, stream = self.drive_with_faults(tmp_path)
+        ids = {r.request_id for r in stream}
+        assert set(svc.router.assignment) == ids
+        submitted = []
+        for sid, records in journal_records(svc).items():
+            for record in records:
+                if record["event"] == "submit":
+                    assert svc.router.assignment[record["data"]["id"]] == sid
+                    submitted.append(record["data"]["id"])
+        assert sorted(submitted) == sorted(ids)
+
+    def test_fault_events_follow_ownership(self, tmp_path):
+        stream = make_stream()
+        plan = FaultPlan.generate(
+            9,
+            charger_ids=[c.charger_id for c in make_chargers()],
+            requests=stream,
+            outage_prob=0.6,
+            cancel_prob=0.15,
+            no_show_prob=0.05,
+            journal_faults=0,
+        )
+        svc, _ = self.drive_with_faults(tmp_path, plan)
+        seen = {"charger": 0, "cancel": 0}
+        for sid, records in journal_records(svc).items():
+            for record in records:
+                if record["event"] in ("charger_down", "charger_up"):
+                    # Shard s owns exactly the charger in its quadrant.
+                    assert record["data"]["charger"] == f"c{sid}"
+                    seen["charger"] += 1
+                elif record["event"] == "cancel":
+                    # Cancels and no-shows follow the sticky assignment.
+                    assert svc.router.assignment[record["data"]["id"]] == sid
+                    seen["cancel"] += 1
+        assert seen["charger"] > 0 and seen["cancel"] > 0

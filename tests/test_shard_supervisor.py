@@ -37,14 +37,18 @@ from repro.errors import (
     ServiceError,
     ShardUnavailableError,
 )
-from repro.faults import FaultPlan, FaultyJournal
+from repro.faults import (
+    SUPERVISOR_JOURNAL_NAME,
+    FaultEvent,
+    FaultPlan,
+    ShardSupervisor,
+    drive,
+)
 from repro.faults.plan import SUPERVISOR_KINDS
 from repro.geometry import Field, Point
 from repro.service import RequestState, ServiceConfig, generate_requests
-from repro.shard import ShardedService, ShardSupervisor, drive_supervised
-from repro.shard.driver import drive_sharded
+from repro.shard import ShardedService
 from repro.shard.service import MANIFEST_NAME
-from repro.shard.supervisor import SUPERVISOR_JOURNAL_NAME
 from repro.wpt import Charger
 
 FIELD = Field(100.0, 100.0)
@@ -89,7 +93,7 @@ def reference_run(requests, plan=None, n_shards=4, halo=0.0, **kw):
         make_chargers(), n_shards=n_shards, field=FIELD, halo=halo,
         config=CONFIG, journal_dir=None, **kw,
     )
-    service, _stats = drive_sharded(service, requests, plan)
+    service, _stats = drive(service, requests, plan)
     return service
 
 
@@ -142,11 +146,11 @@ class TestFailover:
         sup = ShardSupervisor(svc, seed=5)
         half = len(requests) // 2
         for r in requests[:half]:
-            sup.call("submit", r)
+            sup.submit(r)
         assert sup.kill_shard(1, torn=torn) is True
         for r in requests[half:]:
-            sup.call("submit", r)
-        sup.call("drain")
+            sup.submit(r)
+        sup.drain()
         assert sup.stats["failures"] == 1
         assert sup.stats["recoveries"] == 1
         assert sup.stats["escalations"] == 0
@@ -160,30 +164,24 @@ class TestFailover:
         requests = make_stream()
         svc = make_service(tmp_path / "svc")
         # Arm three recovery crashes against a budget of two: the
-        # supervisor must escalate, and the shared fail_at dict must keep
+        # supervisor must escalate, and the shared armed dict must keep
         # the third crash armed for the operator's reset.
-        fail_at = {1: "enospc", 2: "enospc", 3: "enospc"}
-
-        def factory(shard):
-            if shard != 1:
-                return None
-            return lambda path: FaultyJournal(
-                path, truncate=True, sync=False, fail_at=fail_at
-            )
-
-        sup = ShardSupervisor(
-            svc, seed=5, max_restarts=2, recovery_journal_factory=factory
-        )
+        plan = FaultPlan([
+            FaultEvent(t=0.0, kind="recovery_crash", target="1", count=3)
+        ])
+        sup = ShardSupervisor(svc, seed=5, max_restarts=2, plan=plan)
+        assert sup.armed == {1: {1: "enospc", 2: "enospc", 3: "enospc"}}
         for r in requests:
-            sup.call("submit", r)
+            sup.submit(r)
         assert sup.kill_shard(1) is False
         assert sup.stats["escalations"] == 1
         assert svc.shards_down() == [1]
         # Reset: one crash left, budget of two -> second attempt lands.
         assert sup.reset_shard(1) is True
         assert svc.shards_down() == []
-        assert not fail_at
-        sup.call("drain")
+        assert not sup.armed[1]
+        assert sup.fired_faults() == [(1, "enospc"), (2, "enospc"), (3, "enospc")]
+        sup.drain()
         ref = reference_run(requests)
         assert svc.final_schedule() == ref.final_schedule()
         assert svc.metrics_snapshot() == ref.metrics_snapshot()
@@ -197,8 +195,7 @@ class TestFailover:
         raws = []
         for tag in ("one", "two"):
             svc = make_service(tmp_path / tag, snapshot_every=15)
-            svc, sup, _stats = drive_supervised(svc, requests, plan, seed=9)
-            sup.close()
+            svc, _stats = drive(svc, requests, plan)
             svc.close()
             raws.append((tmp_path / tag / SUPERVISOR_JOURNAL_NAME).read_bytes())
         assert raws[0] == raws[1]
@@ -348,15 +345,16 @@ def run_supervised_case(tmp_path, stream_seed, chaos_seed, n=25, tag="chaos"):
     plan = FaultPlan.generate_supervised(chaos_seed, 4, horizon)
     svc = make_service(tmp_path / f"{tag}-{stream_seed}-{chaos_seed}",
                        snapshot_every=15)
-    svc, sup, stats = drive_supervised(svc, requests, plan, seed=chaos_seed)
+    svc, stats = drive(svc, requests, plan)
     ref = reference_run(requests, plan)
-    assert sup.stats["escalations"] == 0
+    assert stats["escalations"] == 0
     assert svc.shards_down() == []
     assert svc.final_schedule() == ref.final_schedule()
     assert svc.metrics_snapshot() == ref.metrics_snapshot()
-    sup.close()
+    # Every crash (a failed recovery attempt) fires one armed fault.
+    assert stats["crashes"] == len(stats["journal_faults_fired"])
     svc.close()
-    return stats, sup.stats
+    return stats
 
 
 @pytest.mark.recovery_smoke
@@ -364,9 +362,9 @@ class TestSupervisedChaosSmoke:
     def test_converges_byte_identical_with_zero_operator_calls(self, tmp_path):
         # Seed 3 mixes torn + clean kills, snapshot corruption, and a
         # crash-looping recovery (see FaultPlan.generate_supervised).
-        chaos_stats, sup_stats = run_supervised_case(tmp_path, 7, 3)
-        assert chaos_stats["kills"] > 0
-        assert sup_stats["recoveries"] == sup_stats["failures"] > 0
+        stats = run_supervised_case(tmp_path, 7, 3)
+        assert stats["kills"] > 0
+        assert stats["recoveries"] == stats["failures"] > 0
 
 
 class TestSupervisedChaos:
