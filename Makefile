@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-service bench-shard bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke
+.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-service bench-shard bench-recovery bench-ab golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -78,6 +78,18 @@ bench-shard:
 # rewrite benchmarks/BENCH_recovery.json.
 bench-recovery:
 	$(PYTHON) benchmarks/bench_recovery.py
+
+# A/B-compare two revisions on one servicebench workload: BASE and HEAD
+# run from two git worktrees under one temp dir, alternated PAIRS times;
+# prints each end-to-end metric's medians side by side, head's wins and
+# base's quartile distance, and fails if any run reports correct: false.  Example: make bench-ab BASE=HEAD~1 WORKLOAD=dense
+BASE ?= HEAD~1
+HEAD ?= HEAD
+WORKLOAD ?= dense
+PAIRS ?= 3
+bench-ab:
+	$(PYTHON) benchmarks/run_ab.py --base $(BASE) --head $(HEAD) \
+		--workload $(WORKLOAD) --pairs $(PAIRS)
 
 # End-to-end daemon smoke: generated stream -> journal -> metrics, then
 # crash-recover from the journal and verify byte-identical state.

@@ -125,16 +125,14 @@ def _capacity_vector(chargers: Sequence[Charger]) -> np.ndarray:
     )
 
 
-def _availability_mask(instance: object, m: int) -> Optional[np.ndarray]:
-    """Gathered ``charger_available`` flags, or ``None`` without the hook.
+def _availability_mask(instance: object) -> Optional[np.ndarray]:
+    """The instance's live charger-availability mask, or ``None`` without one.
 
     Mirrors the ``getattr`` probe in ``switching._scan_deltas``: frozen
-    batch instances have no availability notion and skip the mask.
+    batch instances have no availability notion and skip the mask.  The
+    plan instance maintains the mask as state; scans only read it.
     """
-    probe = getattr(instance, "charger_available", None)
-    if probe is None:
-        return None
-    return np.fromiter((bool(probe(j)) for j in range(m)), dtype=bool, count=m)
+    return getattr(instance, "available_mask", None)
 
 
 def _kernel_best_move(
@@ -577,7 +575,7 @@ class ArrayState:
             cand_price=self._price[:k],
             cand_move_sum=self._move[:k],
             cap=self._cap,
-            avail=_availability_mask(self.instance, self._moving.shape[1]),
+            avail=_availability_mask(self.instance),
             mv_row=self._moving[device],
             sp_row=self._sp[device],
             sc_row=self._sc[device],
@@ -788,7 +786,7 @@ class StructureArrayView:
             cand_price=self._price,
             cand_move_sum=self._move,
             cap=self._cap,
-            avail=_availability_mask(instance, instance.n_chargers),
+            avail=_availability_mask(instance),
             mv_row=instance._moving_cost[device],  # type: ignore[attr-defined]
             sp_row=instance.singleton_price_matrix()[device],
             sc_row=instance.singleton_cost_matrix()[device],
@@ -809,7 +807,7 @@ class StructureArrayView:
             cand_size=self._size,
             cand_demand=self._demand,
             cap=self._cap,
-            avail=_availability_mask(instance, instance.n_chargers),
+            avail=_availability_mask(instance),
             mv_row=instance._moving_cost[device],  # type: ignore[attr-defined]
             sc_row=instance.singleton_cost_matrix()[device],
         )

@@ -257,6 +257,13 @@ class ChargingService:
         #: Request ids displaced from the plan (charger outage / repair
         #: eviction), awaiting re-quote at the next boundary.
         self._evacuating: List[str] = []
+        #: Duplicate-device index: ids of the devices with a request in a
+        #: live state (ADMITTED, GROUPED or EVACUATING — exactly the
+        #: requests held by ``_queue``, ``_rid_of_index`` and
+        #: ``_evacuating``).  Admission rejects a duplicate, so a device
+        #: has at most one live request.  Derived state: rebuilt on
+        #: restore, never snapshotted.
+        self._live_devices: Set[str] = set()
         #: ``(event, target, t)`` keys of fault inputs already applied —
         #: replaying a journaled fault event is a no-op, exactly like
         #: resubmitting a known request id.
@@ -375,7 +382,10 @@ class ChargingService:
             self.metrics.counter(f"rejected.{decision.reason}").inc()
         else:
             record.state = RequestState.ADMITTED
+            # The quote's rows ride with the queued request to its fold.
+            record.rows = self.planner.quote_rows(request.device)
             self._queue.append(request.request_id)
+            self._live_devices.add(request.device.device_id)
             self._journal(
                 "admit",
                 now,
@@ -507,6 +517,7 @@ class ChargingService:
             record.state in RequestState.TERMINAL
         ):
             return record.state
+        self._release(record)
         if record.state == RequestState.ADMITTED:
             self._queue.remove(request_id)
         elif record.state == RequestState.EVACUATING:
@@ -658,6 +669,7 @@ class ChargingService:
             rid = self._rid_of_index.pop(i)
             request_ids.append(rid)
             record = self.requests[rid]
+            self._release(record)
             realized = info["shares"][i] + info["moving"][i]
             record.state = RequestState.CHARGING
             record.departed_at = boundary
@@ -727,6 +739,7 @@ class ChargingService:
         self._evacuating = still_evacuating
 
     def _expire(self, record: RequestRecord, boundary: float, where: str) -> None:
+        self._release(record)
         record.state = RequestState.EXPIRED
         record.reason = where
         self._journal(
@@ -743,8 +756,15 @@ class ChargingService:
         """
         if record.quote is None:
             return False
+        # An evacuee's rows live in the plan instance; a queued request
+        # carries its own (none after a restore: they are recomputed).
+        rows = (
+            self.planner.instance.rows_of(record.device_index)
+            if record.device_index is not None
+            else record.rows
+        )
         try:
-            quote, _ = self.planner.quote(record.request.device)
+            quote, _ = self.planner.quote(record.request.device, rows)
         except ServiceError:
             return False
         return quote <= record.quote + self.planner.tol
@@ -753,6 +773,7 @@ class ChargingService:
         """Terminal rejection of an admitted request after an outage."""
         if record.device_index is not None:
             self.planner.ceiling.pop(record.device_index, None)
+        self._release(record)
         record.state = RequestState.REJECTED
         record.reason = REASON_CHARGER_FAILED
         self._journal(
@@ -794,9 +815,10 @@ class ChargingService:
                     assert index is not None
                 else:
                     index = self.planner.add(
-                        record.request.device, ceiling=record.quote
+                        record.request.device, ceiling=record.quote, rows=record.rows
                     )
                     record.device_index = index
+                    record.rows = None
                 self._rid_of_index[index] = rid
                 indices.append(index)
             _placements, evicted = self.planner.fold(indices)
@@ -853,16 +875,12 @@ class ChargingService:
     # introspection
 
     def _device_in_service(self, device_id: str) -> bool:
-        for rid in self._queue:
-            if self.requests[rid].request.device.device_id == device_id:
-                return True
-        for rid in self._evacuating:
-            if self.requests[rid].request.device.device_id == device_id:
-                return True
-        return any(
-            self.requests[rid].request.device.device_id == device_id
-            for rid in self._rid_of_index.values()
-        )
+        return device_id in self._live_devices
+
+    def _release(self, record: RequestRecord) -> None:
+        """A live request leaves the live states: unindex it, drop its rows."""
+        record.rows = None
+        self._live_devices.remove(record.request.device.device_id)
 
     def _update_gauges(self) -> None:
         self.metrics.gauge("queue_depth").set(len(self._queue))
@@ -871,7 +889,7 @@ class ChargingService:
         self.metrics.gauge("charging_sessions").set(len(self._completions))
         self.metrics.gauge("evacuating").set(len(self._evacuating))
         self.metrics.gauge("chargers_available").set(
-            len(self.planner.available_chargers())
+            int(self.planner.instance.available_mask.sum())
         )
         self.metrics.gauge("clock").set(self.clock.now)
 
@@ -984,7 +1002,7 @@ class ChargingService:
                     }
                     for d in inst.devices
                 ],
-                "up": list(inst._up),
+                "up": inst.available_mask.tolist(),
                 "ceiling": [
                     [i, c] for i, c in sorted(self.planner.ceiling.items())
                 ],
@@ -1068,6 +1086,10 @@ class ChargingService:
             record.session_seq = entry["session_seq"]
             record.realized_cost = entry["realized_cost"]
             self.requests[record.request.request_id] = record
+        self._live_devices = {
+            self.requests[rid].request.device.device_id
+            for rid in (*self._queue, *self._evacuating, *self._rid_of_index.values())
+        }
         self.metrics.restore(state["metrics"])
         self._update_gauges()
 

@@ -36,6 +36,7 @@ by the total number of requests ever served.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -52,6 +53,9 @@ from ..numeric import DEFAULT_REL_TOL, is_exact_zero
 from ..wpt import Charger, ChargerPriceTable
 
 __all__ = ["PlanInstance", "GrowableCoalitionStructure", "IncrementalPlanner"]
+
+#: A device's ``(moving-cost row, singleton-price row)`` over the chargers.
+QuoteRows = Tuple[np.ndarray, np.ndarray]
 
 
 class PlanInstance:
@@ -85,8 +89,12 @@ class PlanInstance:
         m = len(self.chargers)
         #: Per-charger availability (fault semantics): a down charger is
         #: excluded from quoting, insertion, improvement, and repair, but
-        #: its matrix columns stay — recovery is a single flag flip.
-        self._up: List[bool] = [True] * m
+        #: its matrix columns stay — recovery is a single flag flip.  The
+        #: array engine's scans read this mask directly (never mutate it).
+        self.available_mask = np.ones(m, dtype=bool)
+        self._admits_one = np.array([c.admits(1) for c in self.chargers], dtype=bool)
+        self._charger_xy = [(c.position.x, c.position.y) for c in self.chargers]
+        self._matrix_hook = getattr(self.mobility, "moving_cost_matrix", None)
         cap = 16
         self._mc_buf = np.empty((cap, m), dtype=float)
         self._sp_buf = np.empty((cap, m), dtype=float)
@@ -104,44 +112,52 @@ class PlanInstance:
     # ------------------------------------------------------------------ #
     # growth
 
-    def quote_rows(self, device: Device) -> Tuple[np.ndarray, np.ndarray]:
+    def quote_rows(self, device: Device) -> QuoteRows:
         """``(moving-cost row, singleton-price row)`` for a device.
 
-        ``O(m)``: one mobility evaluation and one tariff evaluation per
-        charger.  Used both for pre-admission quoting (the device may
-        never enter the plan) and by :meth:`add_device`.
+        ``O(m)``, vectorized over the charger axis: distances come from
+        per-pair ``math.hypot`` (bitwise ``Point.distance_to``; the
+        sqrt-of-squares form rounds differently) priced through the
+        mobility model's ``moving_cost_matrix`` hook, prices from
+        :meth:`~repro.wpt.vector.ChargerPriceTable.singleton_row`.  Models
+        without the hook are evaluated per charger.  Both rows are bitwise
+        equal to the scalar per-charger evaluation.
         """
-        move = np.array(
-            [
-                self.mobility.moving_cost(device.position, c.position, device.moving_rate)
-                for c in self.chargers
-            ],
-            dtype=float,
-        )
-        price = np.array(
-            [c.price_for_stored(device.demand) for c in self.chargers], dtype=float
-        )
-        return move, price
+        pos = device.position
+        if self._matrix_hook is not None:
+            dist = np.array(
+                [[math.hypot(pos.x - cx, pos.y - cy) for cx, cy in self._charger_xy]]
+            )
+            move = np.asarray(
+                self._matrix_hook(dist, (device.moving_rate,)), dtype=float
+            )[0]
+        else:
+            move = np.array(
+                [
+                    self.mobility.moving_cost(pos, c.position, device.moving_rate)
+                    for c in self.chargers
+                ],
+                dtype=float,
+            )
+        return move, self.price_table().singleton_row(device.demand)
 
-    def best_singleton(self, device: Device) -> Tuple[float, int]:
+    def best_singleton(self, device: Device, rows: Optional[QuoteRows] = None) -> Tuple[float, int]:
         """Cheapest standalone option: ``(cost, charger index)``.
 
         The admission *quote*: what the device would pay charging alone at
         its best *available* charger.  Ties break toward the lower charger
-        index.  Raises :class:`~repro.errors.ServiceError` when no
-        available charger admits a device (e.g. every charger is down).
+        index.  *rows* are the device's :meth:`quote_rows` when the caller
+        already holds them; availability is applied on top.  Raises
+        :class:`~repro.errors.ServiceError` when no available charger
+        admits a device (e.g. every charger is down).
         """
-        move, price = self.quote_rows(device)
-        costs = move + price
-        admitting = [
-            j
-            for j, c in enumerate(self.chargers)
-            if self._up[j] and c.admits(1)
-        ]
-        if not admitting:
+        move, price = rows if rows is not None else self.quote_rows(device)
+        admitting = np.flatnonzero(self.available_mask & self._admits_one)
+        if not admitting.size:
             raise ServiceError("no available charger admits even a single device")
-        j = min(admitting, key=lambda j: (float(costs[j]), j))
-        return float(costs[j]), j
+        costs = (move + price)[admitting]
+        k = int(np.argmin(costs))
+        return float(costs[k]), int(admitting[k])
 
     # ------------------------------------------------------------------ #
     # charger availability (fault semantics)
@@ -153,25 +169,27 @@ class PlanInstance:
         via ``getattr`` — a frozen ``CCSInstance`` has no such method, so
         the batch solvers keep their all-chargers-up fast path.
         """
-        return self._up[charger]
+        return bool(self.available_mask[charger])
 
     def set_available(self, charger: int, up: bool) -> None:
         """Flip charger index *charger*'s availability flag."""
-        self._up[charger] = bool(up)
+        self.available_mask[charger] = bool(up)
 
-    def available_chargers(self) -> List[int]:
-        """Sorted indices of the currently available chargers."""
-        return [j for j in range(len(self.chargers)) if self._up[j]]
+    def rows_of(self, index: int) -> QuoteRows:
+        """The :meth:`quote_rows` stored for added device *index*."""
+        return self._moving_cost[index], self._singleton_price[index]
 
-    def add_device(self, device: Device) -> int:
+    def add_device(self, device: Device, rows: Optional[QuoteRows] = None) -> int:
         """Append *device*; returns its (permanent) index.  ``O(m)``.
 
+        *rows* are the device's :meth:`quote_rows` when the caller still
+        holds them from its quote; they are recomputed otherwise.
         A device identifier may recur (a device coming back for another
         charge after finishing an earlier session); ``device_index`` then
         resolves to the latest index.  Guarding against *concurrently*
         served duplicates is the kernel's admission job.
         """
-        move, price = self.quote_rows(device)
+        move, price = rows if rows is not None else self.quote_rows(device)
         if self._n == self._mc_buf.shape[0]:
             grown = self._mc_buf.shape[0] * 2
             for name in ("_mc_buf", "_sp_buf", "_sc_buf"):
@@ -419,6 +437,7 @@ class IncrementalPlanner:
             StructureArrayView(self.structure) if self.engine == "array" else None
         )
         self.ceiling: Dict[int, float] = {}
+        self._last_rows: Optional[Tuple[Device, QuoteRows]] = None
         #: Operation tally for the incremental-work regression tests.
         #: ``full_solves`` stays 0 by construction — there is no code path
         #: that hands the live plan to a batch solver.
@@ -433,13 +452,32 @@ class IncrementalPlanner:
     # ------------------------------------------------------------------ #
     # quoting and membership
 
-    def quote(self, device: Device) -> Tuple[float, int]:
+    def quote(self, device: Device, rows: Optional[QuoteRows] = None) -> Tuple[float, int]:
         """Standalone quote for a (not yet admitted) device: ``(cost, charger)``.
 
         Only *available* chargers quote; raises
-        :class:`~repro.errors.ServiceError` when none can.
+        :class:`~repro.errors.ServiceError` when none can.  Without
+        *rows* the device's rows come from :meth:`quote_rows`, so a
+        caller that quoted the same device object just before (the
+        shard router) has already paid for them.
         """
-        return self.instance.best_singleton(device)
+        if rows is None:
+            rows = self.quote_rows(device)
+        return self.instance.best_singleton(device, rows)
+
+    def quote_rows(self, device: Device) -> QuoteRows:
+        """The device's ``(moving-cost row, singleton-price row)``.
+
+        Memoized for the most recently quoted device object only (one
+        entry): rows are a pure function of the frozen device and the
+        fixed chargers, so the entry can never go stale.
+        """
+        last = self._last_rows
+        if last is not None and last[0] is device:
+            return last[1]
+        rows = self.instance.quote_rows(device)
+        self._last_rows = (device, rows)
+        return rows
 
     # ------------------------------------------------------------------ #
     # charger availability (fault semantics)
@@ -462,10 +500,6 @@ class IncrementalPlanner:
         """Mark charger index *charger* up again (idempotent)."""
         self.instance.set_available(charger, True)
 
-    def available_chargers(self) -> List[int]:
-        """Sorted indices of the currently available chargers."""
-        return self.instance.available_chargers()
-
     def evacuate_charger(self, charger: int) -> List[int]:
         """Retire every coalition bound to a (failed) charger.
 
@@ -483,9 +517,14 @@ class IncrementalPlanner:
                 self.structure.retire(cid)
         return sorted(displaced)
 
-    def add(self, device: Device, ceiling: float) -> int:
-        """Register an admitted device (not yet placed); returns its index."""
-        index = self.instance.add_device(device)
+    def add(self, device: Device, ceiling: float, rows: Optional[QuoteRows] = None) -> int:
+        """Register an admitted device (not yet placed); returns its index.
+
+        *rows* are the device's quote rows carried from admission; they
+        are recomputed when absent (e.g. a request restored from a
+        snapshot).
+        """
+        index = self.instance.add_device(device, rows)
         self.structure.register_device(index)
         self.ceiling[index] = float(ceiling)
         return index

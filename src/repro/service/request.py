@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..core import Device
 from ..errors import ConfigurationError
 from ..geometry import Point
+
+if TYPE_CHECKING:
+    from .plan import QuoteRows
 
 __all__ = ["RequestState", "ChargingRequest", "RequestRecord"]
 
@@ -158,6 +161,7 @@ class RequestRecord:
         "completed_at",
         "session_seq",
         "realized_cost",
+        "rows",
     )
 
     def __init__(self, request: ChargingRequest):
@@ -172,6 +176,10 @@ class RequestRecord:
         self.completed_at: Optional[float] = None
         self.session_seq: Optional[int] = None
         self.realized_cost: Optional[float] = None
+        #: The admission quote's ``(moving-cost row, singleton-price row)``,
+        #: in memory only (never serialized): carried from ``submit`` to
+        #: the fold and dropped there, or when the request leaves the queue.
+        self.rows: Optional[QuoteRows] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

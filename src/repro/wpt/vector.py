@@ -23,7 +23,7 @@ exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,33 @@ class ChargerPriceTable:
                 self._base[j] = tariff.base
                 self._unit[j] = tariff.unit
                 self._closed_form[j] = True
+        self._generic = [int(j) for j in np.flatnonzero(~self._closed_form)]
+
+    def _closed_form_prices(
+        self, emitted: np.ndarray, chargers: Union[int, slice, np.ndarray]
+    ) -> np.ndarray:
+        """``base + unit * emitted ** exponent`` at *chargers* (index, array or slice)."""
+        return self._base[chargers] + self._unit[chargers] * np.power(
+            emitted, self._exponent[chargers]
+        )
+
+    def singleton_row(self, demand: float) -> np.ndarray:
+        """``(m,)`` prices of one device storing *demand* alone at each charger.
+
+        Equal to ``prices(np.full(m, demand), np.arange(m))``, but with no
+        per-element gathers: it prices every admission quote, where a
+        fixed overhead of a few microseconds per call is the cost that
+        shows.
+        """
+        if demand < 0:
+            raise ValueError(f"demands must be nonnegative, got {demand}")
+        emitted = demand / self._efficiency
+        row = self._closed_form_prices(emitted, slice(None))
+        for j in self._generic:
+            row[j] = self._prices_one_charger(j, emitted[j : j + 1])[0]
+        if demand == EXACT_ZERO:
+            row[:] = 0.0
+        return row
 
     def prices(self, totals: np.ndarray, chargers_idx: np.ndarray) -> np.ndarray:
         """Session prices for summed stored demands at per-element chargers.
@@ -71,16 +98,11 @@ class ChargerPriceTable:
         emitted = totals / self._efficiency[chargers_idx]
         fast = self._closed_form[chargers_idx]
         if fast.all():
-            out = self._base[chargers_idx] + self._unit[chargers_idx] * np.power(
-                emitted, self._exponent[chargers_idx]
-            )
+            out = self._closed_form_prices(emitted, chargers_idx)
         else:
             out = np.empty_like(totals)
             if fast.any():
-                sub = chargers_idx[fast]
-                out[fast] = self._base[sub] + self._unit[sub] * np.power(
-                    emitted[fast], self._exponent[sub]
-                )
+                out[fast] = self._closed_form_prices(emitted[fast], chargers_idx[fast])
             for j in np.unique(chargers_idx[~fast]):
                 mask = chargers_idx == int(j)
                 out[mask] = self._prices_one_charger(int(j), emitted[mask])
@@ -110,9 +132,7 @@ class ChargerPriceTable:
         for j, charger in enumerate(self.chargers):
             emitted = demands / charger.efficiency
             if self._closed_form[j]:
-                col = self._base[j] + self._unit[j] * np.power(
-                    emitted, self._exponent[j]
-                )
+                col = self._closed_form_prices(emitted, j)
                 zero = emitted == EXACT_ZERO
                 if zero.any():
                     col = np.where(zero, 0.0, col)

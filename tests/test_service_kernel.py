@@ -3,11 +3,16 @@ epoch machinery, determinism, and the built-in metrics."""
 
 from __future__ import annotations
 
+import math
+import shutil
+
 import pytest
 
 from repro.core import Device
 from repro.errors import ConfigurationError
-from repro.geometry import Point
+from repro.faults.driver import apply_event, merge_timeline
+from repro.faults.plan import FaultEvent, FaultPlan
+from repro.geometry import Field, Point
 from repro.service import (
     ChargingRequest,
     ChargingService,
@@ -17,6 +22,7 @@ from repro.service import (
     earliest_departure,
     generate_requests,
 )
+from repro.service.loadgen import generate_keyed_requests
 from repro.service.admission import (
     REASON_CAPACITY,
     REASON_DEADLINE,
@@ -326,3 +332,252 @@ class TestMetrics:
             h.observe(v)
         assert h.quantile(0.5) == 2.0  # upper edge of the bucket holding p50
         assert h.quantile(0.99) == float("inf")
+
+
+def _live_recount(svc):
+    """Brute-force live device ids over the three containers (none twice)."""
+    ids = [
+        svc.requests[rid].request.device.device_id
+        for rid in (*svc._queue, *svc._evacuating, *svc._rid_of_index.values())
+    ]
+    assert len(ids) == len(set(ids)), "a device with two live requests"
+    return set(ids)
+
+
+_FAR = 1e5  # the scripted chargers sit far outside the random field
+
+
+def _scripted_inputs():
+    """Hand-placed requests and faults on chargers ``s0``/``s1``.
+
+    They hit the transitions a random plan reaches only rarely: a ceiling
+    eviction followed by a ``charger_failed`` re-quote, a cancel and an
+    expiry of EVACUATING requests, and an expiry inside the plan.
+    """
+    def req(rid, x, y, t, deadline=None):
+        device = Device(device_id=f"s-{rid}", position=Point(_FAR + x, y), demand=20e3)
+        return ChargingRequest(request_id=rid, device=device, submitted_at=t, deadline=deadline)
+
+    requests = [
+        # b, c, d found a session at s1 that a (sitting on s0) joins; s0
+        # fails, b/c/d cancel, and a alone at s1 exceeds its s0 quote.
+        req("b", 80, 80, 1.0), req("c", 80, 80, 2.0), req("d", 80, 80, 3.0),
+        req("a", 20, 20, 4.0),
+        # e is evacuated by the s1 outage, then cancels.
+        req("e", 80, 80, 130.0),
+        # f is evacuated at 370 and cannot make a departure before 430.
+        req("f", 80, 80, 250.0, deadline=430.0),
+        # g is re-folded at 540, restarting its window past its deadline.
+        req("g", 20, 20, 450.0, deadline=620.0),
+    ]
+
+    def ev(t, kind, target):
+        return FaultEvent(t=t, kind=kind, target=target, reason=kind if kind == "cancel" else None)
+
+    events = [
+        ev(62.0, "charger_down", "s0"),
+        ev(63.0, "cancel", "b"), ev(64.0, "cancel", "c"), ev(65.0, "cancel", "d"),
+        ev(190.0, "charger_down", "s1"), ev(200.0, "cancel", "e"),
+        ev(205.0, "charger_up", "s0"), ev(206.0, "charger_up", "s1"),
+        ev(370.0, "charger_down", "s1"), ev(375.0, "charger_up", "s1"),
+        ev(490.0, "charger_down", "s0"), ev(495.0, "charger_up", "s0"),
+    ]
+    return requests, events
+
+
+def _chaos_run(seed, window, snap_deadlines):
+    """Chargers, requests and a fault plan for one duplicate-index run.
+
+    Device ids repeat over a pool of 25, so duplicates are rejected and
+    devices come back after their earlier request departed.
+    """
+    field = [
+        Charger(charger_id=f"c{j}", position=Point(25.0 + 50.0 * (j % 2), 25.0 + 50.0 * (j // 2)),
+                capacity=4)
+        for j in range(4)
+    ]
+    scripted = [
+        Charger(charger_id="s0", position=Point(_FAR + 20.0, 20.0)),
+        Charger(charger_id="s1", position=Point(_FAR + 80.0, 80.0)),
+    ]
+    epoch = ServiceConfig().epoch
+    requests = []
+    for k, r in enumerate(
+        generate_keyed_requests(160, rate=0.5, seed=seed, deadline_slack=300.0)
+    ):
+        deadline = r.deadline
+        if snap_deadlines and k % 5 == 0:
+            # Exactly the first fold: admissible only with a zero wait.
+            deadline = (math.floor(r.submitted_at / epoch) + 1) * epoch
+        device = Device(device_id=f"p{k % 25}", position=r.device.position, demand=r.device.demand)
+        requests.append(ChargingRequest(request_id=r.request_id, device=device,
+                                        submitted_at=r.submitted_at, deadline=deadline))
+    plan = FaultPlan.generate(
+        seed, charger_ids=[c.charger_id for c in field], requests=requests,
+        journal_faults=0, outage_prob=1.0, mean_outage=200.0,
+        cancel_prob=0.3, no_show_prob=0.15,
+    )
+    events = list(plan.events)
+    if not snap_deadlines:
+        extra_requests, extra_events = _scripted_inputs()
+        requests += extra_requests
+        events += extra_events
+    config = ServiceConfig(window=window)
+    return field + scripted, config, requests, FaultPlan(events)
+
+
+#: Transitions out of a live state each run must exercise:
+#: (state left, state entered, reason).
+_DEFAULT_COVERAGE = {
+    (RequestState.ADMITTED, RequestState.CANCELLED, None),
+    (RequestState.GROUPED, RequestState.CANCELLED, None),
+    (RequestState.EVACUATING, RequestState.CANCELLED, None),
+    (RequestState.GROUPED, RequestState.EXPIRED, "plan"),
+    (RequestState.EVACUATING, RequestState.EXPIRED, "evacuating"),
+    (RequestState.EVACUATING, RequestState.REJECTED, "charger_failed"),
+    (RequestState.GROUPED, RequestState.CHARGING, None),
+    "ceiling-eviction",
+    "duplicate",
+}
+_ZERO_WINDOW_COVERAGE = {
+    (RequestState.ADMITTED, RequestState.EXPIRED, "queue"),
+    (RequestState.GROUPED, RequestState.CHARGING, None),
+    "duplicate",
+}
+
+
+class TestDuplicateIndex:
+    """The live-device index always equals a brute-force recount."""
+
+    @pytest.mark.parametrize(
+        "window, snap, required",
+        [(120.0, False, _DEFAULT_COVERAGE), (1e-11, True, _ZERO_WINDOW_COVERAGE)],
+        ids=["default-window", "zero-window"],
+    )
+    def test_index_matches_recount_through_a_chaos_run(self, tmp_path, window, snap, required):
+        chargers, config, requests, plan = _chaos_run(7, window, snap)
+        svc = ChargingService(chargers, config=config, journal_path=tmp_path / "j.jsonl",
+                              journal_sync=False)
+        seen = set()
+        released = []
+        release, evacuate = svc._release, svc._evacuate
+
+        def traced_release(record):
+            released.append((record, record.state))
+            release(record)
+
+        def traced_evacuate(index, t, cause):
+            if cause == "ceiling":
+                seen.add("ceiling-eviction")
+            evacuate(index, t, cause)
+
+        svc._release, svc._evacuate = traced_release, traced_evacuate
+        items = merge_timeline(requests, plan)
+        for step, item in enumerate(items):
+            apply_event(svc, item)
+            assert svc._live_devices == _live_recount(svc)
+            for record, before in released:
+                terminal_reason = record.state in (RequestState.EXPIRED, RequestState.REJECTED)
+                seen.add((before, record.state, record.reason if terminal_reason else None))
+            released.clear()
+            if step == len(items) // 2:
+                self._check_restore_and_replay(svc, chargers, config, tmp_path)
+        if svc.metrics_snapshot()["counters"].get("rejected.duplicate", 0):
+            seen.add("duplicate")
+        assert required <= seen, required - seen
+        svc.drain()
+        assert svc._live_devices == _live_recount(svc) == set()
+        svc.close()
+
+    @staticmethod
+    def _check_restore_and_replay(svc, chargers, config, tmp_path):
+        """Snapshot restore and full-replay recovery rebuild the same index."""
+        assert svc._live_devices, "check against a non-trivial index"
+        svc.write_snapshot()
+        for mode, snapshot_used in (("snapshot", 1), ("replay", 0)):
+            where = tmp_path / mode
+            where.mkdir()
+            for path in tmp_path.glob("j.jsonl*"):
+                if snapshot_used or path.name == "j.jsonl":
+                    shutil.copy(path, where / path.name)
+            recovered = ChargingService.recover(
+                where / "j.jsonl", chargers, config=config, journal_sync=False
+            )
+            counters = recovered.observability_snapshot()["counters"]
+            assert counters["recovery.snapshot_used"] == snapshot_used
+            assert recovered._live_devices == _live_recount(recovered) == svc._live_devices
+            recovered.close()
+
+    def test_device_charging_elsewhere_is_admitted_again(self):
+        svc = ChargingService(make_chargers())
+        r1 = request("r1", t=1.0)
+        svc.submit(r1)
+        svc.advance(180.0)  # folded at 60, departed at 180
+        assert svc.request_state("r1") == RequestState.CHARGING
+        r2 = ChargingRequest(request_id="r2", device=r1.device, submitted_at=181.0)
+        assert svc.submit(r2) == RequestState.ADMITTED
+        assert svc._live_devices == {r1.device.device_id}
+
+
+class _CountingList(list):
+    def __init__(self, items, tally):
+        super().__init__(items)
+        self.tally = tally
+
+    def __iter__(self):
+        self.tally["iterations"] += 1
+        return super().__iter__()
+
+
+class _CountingDict(dict):
+    def __init__(self, items, tally):
+        super().__init__(items)
+        self.tally = tally
+
+    def _count(self):
+        self.tally["iterations"] += 1
+
+    def __iter__(self):
+        self._count()
+        return super().__iter__()
+
+    def keys(self):
+        self._count()
+        return super().keys()
+
+    def values(self):
+        self._count()
+        return super().values()
+
+    def items(self):
+        self._count()
+        return super().items()
+
+
+class TestSubmitWorkBound:
+    def test_plain_submit_scans_no_live_container(self):
+        """A plain submit does O(1) container work however big the plan is."""
+        chargers = [
+            Charger(charger_id=f"c{j}", capacity=40,
+                    position=Point(50.0 * (j % 4) + 25.0, 50.0 * (j // 4) + 25.0))
+            for j in range(16)
+        ]
+        config = ServiceConfig(queue_limit=4096, window=1e6)
+        svc = ChargingService(chargers, config=config)
+        stream = generate_requests(2100, rate=100.0, field=Field(200.0, 200.0), rng=3)
+        for r in stream:
+            svc.submit(r)
+        svc.advance(60.0)
+        svc.submit(request("queued", t=61.0))
+        assert len(svc._rid_of_index) >= 2000
+        tally = {"iterations": 0}
+        svc._queue = _CountingList(svc._queue, tally)
+        svc._evacuating = _CountingList(svc._evacuating, tally)
+        svc._rid_of_index = _CountingDict(svc._rid_of_index, tally)
+        assert svc.submit(request("plain", x=150.0, y=150.0, t=62.0)) == RequestState.ADMITTED
+        again = ChargingRequest(
+            request_id="dup", device=svc.requests["plain"].request.device, submitted_at=63.0
+        )
+        assert svc.submit(again) == RequestState.REJECTED
+        assert svc.requests["dup"].reason == REASON_DUPLICATE
+        assert tally["iterations"] == 0

@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CCSInstance, Device
 from repro.core.costsharing import EgalitarianSharing
+from repro.errors import ServiceError
 from repro.geometry import Point
+from repro.mobility import LinearMobility, ManhattanMobility, QuadraticMobility
 from repro.service import GrowableCoalitionStructure, IncrementalPlanner, PlanInstance
-from repro.wpt import Charger
+from repro.wpt import Charger, ChargerPriceTable
+from repro.wpt.pricing import LinearTariff, PiecewiseConcaveTariff, PowerLawTariff
 
 
 def make_chargers(capacity=None):
@@ -223,3 +227,171 @@ class TestIncrementality:
         assert planner.ops["insert_candidates"] <= 25 * (25 + 3)
         assert planner.ops["full_solves"] == 0
         assert live >= 1
+
+
+class _GenericPowerLaw(PowerLawTariff):
+    """A power law the price table cannot recognise: no closed form."""
+
+
+_TARIFFS = {
+    "power": lambda k: PowerLawTariff(base=10.0 + k, unit=1.0 + 0.1 * k, exponent=0.8),
+    "linear": lambda k: LinearTariff(base=5.0 + k, unit=0.02),
+    "piecewise": lambda k: PiecewiseConcaveTariff(
+        base=3.0 + k, breakpoints=(5e3, 2e4), marginal_prices=(0.2, 0.1, 0.05)
+    ),
+    "generic": lambda k: _GenericPowerLaw(base=8.0, unit=1.0, exponent=0.7 + 0.01 * k),
+}
+_MOBILITY = {
+    "linear": LinearMobility(),
+    "quadratic": QuadraticMobility(curvature=0.002),
+    "manhattan": ManhattanMobility(),
+}
+_coord = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
+_demand = st.one_of(
+    st.just(5e-324),
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+    st.floats(min_value=1e-3, max_value=1e5),
+)
+
+
+def _scalar_rows(inst, dev):
+    """The per-charger scalar loop the vectorized rows must reproduce."""
+    mobility, rate = inst.mobility, dev.moving_rate
+    move = np.array(
+        [mobility.moving_cost(dev.position, c.position, rate) for c in inst.chargers], dtype=float
+    )
+    price = np.array([c.price_for_stored(dev.demand) for c in inst.chargers], dtype=float)
+    return move, price
+
+
+def _scalar_quote(inst, dev):
+    move, price = _scalar_rows(inst, dev)
+    costs = move + price
+    admitting = [
+        j for j, c in enumerate(inst.chargers) if inst.charger_available(j) and c.admits(1)
+    ]
+    if not admitting:
+        raise ServiceError("no available charger admits even a single device")
+    j = min(admitting, key=lambda j: (float(costs[j]), j))
+    return float(costs[j]), j
+
+
+@st.composite
+def _quote_case(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    chargers = [
+        Charger(
+            charger_id=f"c{k}",
+            position=Point(draw(_coord), draw(_coord)),
+            tariff=_TARIFFS[draw(st.sampled_from(sorted(_TARIFFS)))](k),
+            efficiency=draw(st.floats(min_value=0.05, max_value=1.0)),
+        )
+        for k in range(m)
+    ]
+    if draw(st.booleans()):
+        # An exact twin of charger 0 at the end: every quote ties there.
+        twin = chargers[0]
+        chargers.append(
+            Charger(charger_id="twin", position=twin.position, tariff=twin.tariff,
+                    efficiency=twin.efficiency)
+        )
+    mobility = _MOBILITY[draw(st.sampled_from(sorted(_MOBILITY)))]
+    devices = [
+        Device(
+            device_id=f"d{k}",
+            position=Point(draw(_coord), draw(_coord)),
+            demand=draw(_demand),
+            moving_rate=draw(st.floats(min_value=0.0, max_value=2.0)),
+        )
+        for k in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    up = draw(st.lists(st.booleans(), min_size=len(chargers), max_size=len(chargers)))
+    return chargers, mobility, devices, up
+
+
+class TestQuoteRowProperties:
+    """The vectorized quote rows are bitwise the per-charger scalar loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_quote_case())
+    def test_rows_and_quote_match_scalar_loop(self, case):
+        chargers, mobility, devices, up = case
+        planner = IncrementalPlanner(chargers, mobility=mobility)
+        for j, flag in enumerate(up):
+            if not flag:
+                planner.fail_charger(j)
+        inst = planner.instance
+        assert inst.available_mask.tolist() == up
+        for dev in devices:
+            move, price = inst.quote_rows(dev)
+            ref_move, ref_price = _scalar_rows(inst, dev)
+            assert move.tobytes() == ref_move.tobytes()
+            assert price.tobytes() == ref_price.tobytes()
+            try:
+                expected = _scalar_quote(inst, dev)
+            except ServiceError:
+                with pytest.raises(ServiceError):
+                    planner.quote(dev)
+                continue
+            got = planner.quote(dev)
+            assert got == expected
+            assert type(got[0]) is float and type(got[1]) is int
+            # A repeat quote (memoized rows) and one from carried rows agree.
+            assert planner.quote(dev) == expected
+            assert planner.quote(dev, rows=(ref_move, ref_price)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(_TARIFFS)), min_size=1, max_size=6),
+        efficiency=st.floats(min_value=0.05, max_value=1.0),
+        demand=st.one_of(st.just(0.0), _demand),
+    )
+    def test_singleton_row_matches_price_for_stored(self, kinds, efficiency, demand):
+        chargers = [
+            Charger(charger_id=f"c{k}", position=Point(0.0, 0.0),
+                    tariff=_TARIFFS[kind](k), efficiency=efficiency)
+            for k, kind in enumerate(kinds)
+        ]
+        table = ChargerPriceTable(chargers)
+        row = table.singleton_row(demand)
+        ref = np.array([c.price_for_stored(demand) for c in chargers], dtype=float)
+        assert row.tobytes() == ref.tobytes()
+        m = len(chargers)
+        assert row.tobytes() == table.prices(np.full(m, demand), np.arange(m)).tobytes()
+
+    def test_singleton_row_rejects_negative_demand(self):
+        with pytest.raises(ValueError):
+            ChargerPriceTable(make_chargers()).singleton_row(-1.0)
+
+    def test_ties_break_toward_the_lower_charger(self):
+        twin = [
+            Charger(charger_id="a", position=Point(50.0, 0.0)),
+            Charger(charger_id="b", position=Point(50.0, 0.0)),
+            Charger(charger_id="c", position=Point(50.0, 0.0)),
+        ]
+        planner = IncrementalPlanner(twin)
+        dev = device(0, 0.0, 0.0)
+        assert planner.quote(dev)[1] == 0
+        planner.fail_charger(0)
+        assert planner.quote(dev)[1] == 1
+
+    def test_all_chargers_down_is_a_service_error(self):
+        planner = IncrementalPlanner(make_chargers())
+        for j in range(3):
+            planner.fail_charger(j)
+        with pytest.raises(ServiceError):
+            planner.quote(device(0, 1.0, 1.0))
+        planner.restore_charger(1)
+        assert planner.quote(device(0, 1.0, 1.0))[1] == 1
+
+    def test_add_with_carried_rows_equals_add_without(self):
+        devices = spread_devices(8, seed=3)
+        carried, fresh = IncrementalPlanner(make_chargers()), IncrementalPlanner(make_chargers())
+        for d in devices:
+            cost, _ = carried.quote(d)
+            carried.add(d, cost, rows=carried.quote_rows(d))
+            fresh.add(d, cost)
+        for name in ("moving_cost", "singleton_price", "singleton_cost"):
+            a = getattr(carried.instance, f"_{name}")
+            b = getattr(fresh.instance, f"_{name}")
+            assert a.tobytes() == b.tobytes()
