@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -98,15 +98,18 @@ class EgalitarianSharing:
     def share_of_vector(
         self,
         instance: CCSInstance,
-        device: int,
+        device: "Union[int, np.ndarray]",
         sizes: "np.ndarray",
         total_demands: "np.ndarray",
         prices: "np.ndarray",
     ) -> "np.ndarray":
         """Vectorized :meth:`share_of` over candidate-session aggregates.
 
-        Elementwise bitwise-identical to the scalar fast path — the array
-        engine prices a whole candidate scan with one call.
+        *device* is one device index or an integer array of them that
+        broadcasts against the aggregates (a column scores many devices
+        against the same candidates).  Elementwise bitwise-identical to
+        the scalar fast path — the array engine prices a whole candidate
+        scan with one call.
         """
         return prices / sizes
 
@@ -144,17 +147,26 @@ class ProportionalSharing:
     def share_of_vector(
         self,
         instance: CCSInstance,
-        device: int,
+        device: "Union[int, np.ndarray]",
         sizes: "np.ndarray",
         total_demands: "np.ndarray",
         prices: "np.ndarray",
     ) -> "np.ndarray":
         """Vectorized :meth:`share_of` over candidate-session aggregates.
 
-        Same multiply-then-divide order as the scalar fast path, so each
-        element is bitwise identical to it.
+        *device* is one device index or an integer array of them that
+        broadcasts against the aggregates.  Same multiply-then-divide
+        order as the scalar fast path, so each element is bitwise
+        identical to it.
         """
-        return prices * instance.devices[device].demand / total_demands
+        if isinstance(device, np.ndarray):
+            devices = instance.devices
+            demand = np.array(
+                [devices[i].demand for i in device.ravel().tolist()], dtype=float
+            ).reshape(device.shape)
+        else:
+            demand = instance.devices[device].demand
+        return prices * demand / total_demands
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,10 @@ total cost *to the last bit*, and the same Zobrist hash.  That is why
 :class:`StructureArrayView` applies the same vectorized kernel to a live
 *object* ``CoalitionStructure`` — the service's incremental planner uses
 it so improvement/repair sweeps scan in numpy while placements and
-journaling keep the object representation.
+journaling keep the object representation.  For the planner's
+improvement sweeps it also screens many devices in one pass
+(:func:`_kernel_screen_moves`), so the exact per-device kernel runs only
+for a device that will move.
 
 dtype discipline: everything float64 / int64; narrowing dtypes and
 unordered reductions in this module are rejected by ccs-lint rule
@@ -54,7 +57,7 @@ CCS008.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -135,6 +138,81 @@ def _availability_mask(instance: object) -> Optional[np.ndarray]:
     return getattr(instance, "available_mask", None)
 
 
+def _join_deltas(
+    *,
+    scheme: CostSharingScheme,
+    instance: _EngineInstance,
+    device: "Union[int, np.ndarray]",
+    demand: "Union[float, np.ndarray]",
+    own_now: "Union[float, np.ndarray]",
+    base: "Union[float, np.ndarray]",
+    total_now: float,
+    cand_charger: np.ndarray,
+    cand_size: np.ndarray,
+    cand_demand: np.ndarray,
+    cand_price: np.ndarray,
+    cand_move_sum: np.ndarray,
+    mv: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(own_delta, total_delta)`` of joining each candidate coalition.
+
+    *base* is ``total_now + leave``.  One device (scalar *device*,
+    *demand*, *own_now*, *base*; *mv* its moving-cost row) gives ``(k,)``
+    arrays; ``(D, 1)`` columns and ``(D, m)`` moving-cost rows give
+    ``(D, k)``.  Both shapes run the same operations in the same order,
+    which keeps the screen bitwise equal to the one-device kernel.
+    """
+    new_total = cand_demand + demand
+    if new_total.ndim == 1:
+        new_price = instance.price_for_demand_vector(new_total, cand_charger)
+    else:
+        # Contiguous flattened operands: the layout of the one-device case.
+        new_price = instance.price_for_demand_vector(
+            new_total.ravel(), np.tile(cand_charger, new_total.shape[0])
+        ).reshape(new_total.shape)
+    move_ij = mv[..., cand_charger]
+    share = scheme.share_of_vector(  # type: ignore[attr-defined]
+        instance, device, cand_size + 1, new_total, new_price
+    )
+    own_delta = (share + move_ij) - own_now
+    join = (new_price + (cand_move_sum + move_ij)) - (cand_price + cand_move_sum)
+    return own_delta, (base + join) - total_now
+
+
+def _singleton_deltas(
+    *,
+    scheme: CostSharingScheme,
+    instance: _EngineInstance,
+    device: "Union[int, np.ndarray]",
+    demand: "Union[float, np.ndarray]",
+    own_now: "Union[float, np.ndarray]",
+    base: "Union[float, np.ndarray]",
+    total_now: float,
+    sp: np.ndarray,
+    mv: np.ndarray,
+    sc: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(own_delta, total_delta)`` of founding a singleton at each charger.
+
+    Shapes as in :func:`_join_deltas`; *sp*, *mv* and *sc* are the
+    singleton-price, moving-cost and singleton-cost entries of the
+    chargers considered.
+    """
+    share = scheme.share_of_vector(  # type: ignore[attr-defined]
+        instance, device, 1, demand, sp
+    )
+    return (share + mv) - own_now, (base + sc) - total_now
+
+
+def _permits(rule: SwitchRule, own_delta: np.ndarray, total_delta: np.ndarray) -> np.ndarray:
+    """The rule's permit predicate as a mask (socially aware: both deltas)."""
+    neg = -rule.tol
+    permit = own_delta < neg
+    if isinstance(rule, SociallyAwareSwitch):
+        permit &= total_delta < neg
+    return permit
+
+
 def _kernel_best_move(
     *,
     device: int,
@@ -170,8 +248,7 @@ def _kernel_best_move(
     chargers) are still computed but masked out of selection — cheaper
     than compressing six arrays, and numerically inert.
     """
-    social = isinstance(rule, SociallyAwareSwitch)
-    neg = -rule.tol
+    base = total_now + leave
     best_key: Optional[Tuple[float, bool, int, int]] = None
     best: Optional[Tuple[Optional[int], int, float, float]] = None
 
@@ -181,22 +258,22 @@ def _kernel_best_move(
         if avail is not None:
             ok &= avail[cand_charger]
         if ok.any():
-            new_total = cand_demand + demand_i
-            new_price = instance.price_for_demand_vector(new_total, cand_charger)
-            move_ij = mv_row[cand_charger]
-            share = scheme.share_of_vector(  # type: ignore[attr-defined]
-                instance, device, cand_size + 1, new_total, new_price
+            own_delta, total_delta = _join_deltas(
+                scheme=scheme,
+                instance=instance,
+                device=device,
+                demand=demand_i,
+                own_now=own_now,
+                base=base,
+                total_now=total_now,
+                cand_charger=cand_charger,
+                cand_size=cand_size,
+                cand_demand=cand_demand,
+                cand_price=cand_price,
+                cand_move_sum=cand_move_sum,
+                mv=mv_row,
             )
-            own_delta = (share + move_ij) - own_now
-            join = (new_price + (cand_move_sum + move_ij)) - (
-                cand_price + cand_move_sum
-            )
-            total_delta = ((total_now + leave) + join) - total_now
-            permit = own_delta < neg
-            if social:
-                permit &= total_delta < neg
-            permit &= ok
-            hits = np.flatnonzero(permit)
+            hits = np.flatnonzero(_permits(rule, own_delta, total_delta) & ok)
             if hits.size:
                 od = own_delta[hits]
                 sel = hits[od == od.min()]
@@ -228,15 +305,19 @@ def _kernel_best_move(
         smask &= avail
     js = np.flatnonzero(smask)
     if js.size:
-        share_s = scheme.share_of_vector(  # type: ignore[attr-defined]
-            instance, device, 1, demand_i, sp_row[js]
+        own_delta_s, total_delta_s = _singleton_deltas(
+            scheme=scheme,
+            instance=instance,
+            device=device,
+            demand=demand_i,
+            own_now=own_now,
+            base=base,
+            total_now=total_now,
+            sp=sp_row[js],
+            mv=mv_row[js],
+            sc=sc_row[js],
         )
-        own_delta_s = (share_s + mv_row[js]) - own_now
-        total_delta_s = ((total_now + leave) + sc_row[js]) - total_now
-        permit_s = own_delta_s < neg
-        if social:
-            permit_s &= total_delta_s < neg
-        hits = np.flatnonzero(permit_s)
+        hits = np.flatnonzero(_permits(rule, own_delta_s, total_delta_s))
         if hits.size:
             od = own_delta_s[hits]
             # flatnonzero yields ascending charger order, so the first
@@ -255,6 +336,93 @@ def _kernel_best_move(
     if best is None:
         return None
     return SwitchMove(device, best[0], best[1], best[2], best[3])
+
+
+def _kernel_screen_moves(
+    *,
+    devices: np.ndarray,
+    rule: SwitchRule,
+    scheme: CostSharingScheme,
+    instance: _EngineInstance,
+    demand: np.ndarray,
+    own_now: np.ndarray,
+    total_now: float,
+    leave: np.ndarray,
+    src_charger: np.ndarray,
+    src_is_singleton: np.ndarray,
+    exclude_cid: np.ndarray,
+    cand_cid: np.ndarray,
+    cand_charger: np.ndarray,
+    cand_size: np.ndarray,
+    cand_demand: np.ndarray,
+    cand_price: np.ndarray,
+    cand_move_sum: np.ndarray,
+    cap: np.ndarray,
+    avail: Optional[np.ndarray],
+    moving: np.ndarray,
+    sp: np.ndarray,
+    sc: np.ndarray,
+) -> np.ndarray:
+    """Which of *devices* have a permitted move: :func:`_kernel_best_move`'s
+    permit test for many devices at once.
+
+    The per-device scalars (``demand``, ``own_now``, ``leave``, the
+    source coalition's charger / singleton flag / cid) become ``(D,)``
+    arrays, and both candidate arms gain a leading device axis: joins
+    are ``(D, k)``, singletons ``(D, m)``.  Both kernels evaluate the
+    arms through :func:`_join_deltas`, :func:`_singleton_deltas` and
+    :func:`_permits`, so row ``d`` of each permit mask is bitwise the
+    mask the 1-D kernel builds for ``devices[d]``.  Returns a ``(D,)``
+    bool array; selection among a device's permitted moves is left to
+    :func:`_kernel_best_move`.
+    """
+    base = (total_now + leave)[:, None]
+    col = devices[:, None]
+    own = own_now[:, None]
+    mv = moving[devices]
+    found = np.zeros(devices.shape[0], dtype=bool)
+
+    if cand_cid.shape[0]:
+        ok = (cand_cid[None, :] != exclude_cid[:, None]) & (
+            (cand_size + 1) <= cap[cand_charger]
+        )[None, :]
+        if avail is not None:
+            ok &= avail[cand_charger][None, :]
+        own_delta, total_delta = _join_deltas(
+            scheme=scheme,
+            instance=instance,
+            device=col,
+            demand=demand[:, None],
+            own_now=own,
+            base=base,
+            total_now=total_now,
+            cand_charger=cand_charger,
+            cand_size=cand_size,
+            cand_demand=cand_demand,
+            cand_price=cand_price,
+            cand_move_sum=cand_move_sum,
+            mv=mv,
+        )
+        found |= (_permits(rule, own_delta, total_delta) & ok).any(axis=1)
+
+    m = mv.shape[1]
+    smask = ~(src_is_singleton[:, None] & (np.arange(m)[None, :] == src_charger[:, None]))
+    if avail is not None:
+        smask &= avail[None, :]
+    own_delta_s, total_delta_s = _singleton_deltas(
+        scheme=scheme,
+        instance=instance,
+        device=col,
+        demand=demand[:, None],
+        own_now=own,
+        base=base,
+        total_now=total_now,
+        sp=sp[devices],
+        mv=mv,
+        sc=sc[devices],
+    )
+    found |= (_permits(rule, own_delta_s, total_delta_s) & smask).any(axis=1)
+    return found
 
 
 def _kernel_best_insert(
@@ -746,6 +914,7 @@ class StructureArrayView:
         self._demand = np.zeros(0, dtype=float)
         self._price = np.zeros(0, dtype=float)
         self._move = np.zeros(0, dtype=float)
+        self._row_of_cid: Dict[int, int] = {}
 
     def _ensure(self) -> None:
         st = self.structure
@@ -759,6 +928,7 @@ class StructureArrayView:
         self._demand = np.fromiter((c.total_demand for c in coals), float, count)
         self._price = np.fromiter((c.price for c in coals), float, count)
         self._move = np.fromiter((c.move_sum for c in coals), float, count)
+        self._row_of_cid = {c.cid: row for row, c in enumerate(coals)}
         self._built_version = st._version
 
     def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
@@ -791,6 +961,81 @@ class StructureArrayView:
             sp_row=instance.singleton_price_matrix()[device],
             sc_row=instance.singleton_cost_matrix()[device],
         )
+
+    def _source_state(
+        self, devices: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(devices, rows, demand, own_now, leave)`` for placed *devices*.
+
+        ``rows`` are the devices' coalition rows in the packed arrays (the
+        device→row index); ``own_now`` and ``leave`` apply the operations
+        of ``individual_cost`` and ``leave_delta`` elementwise to those
+        rows, so each element is bitwise the scalar method's result.
+        """
+        self._ensure()
+        st = self.structure
+        instance = st.instance
+        of_device, row_of_cid = st._of_device, self._row_of_cid
+        demand_list = instance._demand_list  # type: ignore[attr-defined]
+        devs = np.array(devices, dtype=np.int64)
+        rows = np.array([row_of_cid[of_device[d]] for d in devices], dtype=np.int64)
+        demand = np.array([demand_list[d] for d in devices], dtype=float)
+        size = self._size[rows]
+        src_demand = self._demand[rows]
+        src_price = self._price[rows]
+        src_move = self._move[rows]
+        src_charger = self._charger[rows]
+        own_move = instance._moving_cost[devs, src_charger]  # type: ignore[attr-defined]
+        own_now = (
+            st.scheme.share_of_vector(  # type: ignore[attr-defined]
+                instance, devs, size, src_demand, src_price
+            )
+            + own_move
+        )
+        kept_price = instance.price_for_demand_vector(  # type: ignore[attr-defined]
+            src_demand - demand, src_charger
+        )
+        group = src_price + src_move
+        leave = np.where(size == 1, -group, (kept_price + (src_move - own_move)) - group)
+        return devs, rows, demand, own_now, leave
+
+    def first_mover(self, devices: Sequence[int], rule: SwitchRule) -> Optional[int]:
+        """Position in *devices* of the first one with a permitted move.
+
+        One :func:`_kernel_screen_moves` pass over every listed (placed)
+        device against the current structure; ``None`` when no device has
+        a move.  Equivalent to calling :meth:`best_move` on each device in
+        turn and stopping at the first that returns a move.
+        """
+        devs, rows, demand, own_now, leave = self._source_state(devices)
+        st = self.structure
+        instance = st.instance
+        found = _kernel_screen_moves(
+            devices=devs,
+            rule=rule,
+            scheme=st.scheme,
+            instance=instance,  # type: ignore[arg-type]
+            demand=demand,
+            own_now=own_now,
+            total_now=st.total_cost,
+            leave=leave,
+            src_charger=self._charger[rows],
+            src_is_singleton=(self._size[rows] == 1),
+            exclude_cid=self._cid[rows],
+            cand_cid=self._cid,
+            cand_charger=self._charger,
+            cand_size=self._size,
+            cand_demand=self._demand,
+            cand_price=self._price,
+            cand_move_sum=self._move,
+            cap=self._cap,
+            avail=_availability_mask(instance),
+            moving=instance._moving_cost,  # type: ignore[attr-defined]
+            sp=instance.singleton_price_matrix(),
+            sc=instance.singleton_cost_matrix(),
+        )
+        hits = np.flatnonzero(found)
+        return int(hits[0]) if hits.size else None
 
     def best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
         """Vectorized planner insert scan: cheapest placement for *device*."""

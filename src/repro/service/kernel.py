@@ -414,6 +414,7 @@ class ChargingService:
             return
         self._journal("advance", t, {})
         self._advance_to(t)
+        self._update_gauges()
         self._maybe_snapshot()
 
     # ------------------------------------------------------------------ #
@@ -516,6 +517,7 @@ class ChargingService:
         if record.state == RequestState.CHARGING or (
             record.state in RequestState.TERMINAL
         ):
+            self._update_gauges()
             return record.state
         self._release(record)
         if record.state == RequestState.ADMITTED:
@@ -569,6 +571,8 @@ class ChargingService:
         "now" (a no-op): the kernel is lenient at its *input* boundary so
         re-fed streams stay idempotent, while :class:`ServiceClock` itself
         treats a backward move as a hard :class:`~repro.errors.ClockError`.
+        The gauges are left to the calling input, which refreshes them
+        once after its last mutation.
         """
         t = max(float(to), self.clock.now)
         while (self._epoch_index + 1) * self.config.epoch <= t + _TIME_EPS:
@@ -577,7 +581,6 @@ class ChargingService:
             self._epoch_index += 1
         self._process_completions(t)
         self.clock.advance(t)
-        self._update_gauges()
 
     def drain(self) -> None:
         """Flush the service: fold the queue, depart everything, complete.

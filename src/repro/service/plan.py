@@ -610,39 +610,70 @@ class IncrementalPlanner:
             cid = self._insert(device)
             placements[device] = cid
             touched |= self.structure._coalitions[cid].members
-        touched = self._improve(touched)
-        evicted = self._repair(touched)
+        self._improve(touched)
+        evicted = self._repair()
         return placements, evicted
 
-    def _improve(self, touched: Set[int]) -> Set[int]:
+    def _improve(self, touched: Set[int]) -> None:
         """Bounded socially-aware best-response sweeps over *touched*.
 
         Each permitted switch strictly lowers the total comprehensive cost
         (the game's potential), so sweeps cannot cycle; we additionally
-        cap them at :attr:`improvement_sweeps`.  Returns the grown touched
-        set (destination coalitions join the neighborhood).
+        cap them at :attr:`improvement_sweeps`.  A sweep visits a sorted
+        snapshot of *touched* in order, each device seeing every move
+        made before it; a mover's destination coalition joins *touched*
+        for the next sweep.  Every visited device is tallied as
+        ``n_coalitions + n_chargers`` candidates at the time of its scan.
         """
         st = self.structure
+        m = self.instance.n_chargers
         for _ in range(self.improvement_sweeps):
+            order = [d for d in sorted(touched) if st.is_placed(d)]
             moved = False
-            for device in sorted(touched):
-                if not st.is_placed(device):
-                    continue
-                self.ops["scan_candidates"] += st.n_coalitions + self.instance.n_chargers
-                move = self._best_move(self._social, device)
+            start = 0
+            while start < len(order):
+                stop, move = self._next_move(order, start)
+                # No move happens between start and stop, so every device
+                # scanned there saw the same coalition count.
+                self.ops["scan_candidates"] += (stop - start) * (st.n_coalitions + m)
+                start = stop
                 if move is None:
                     continue
-                st.move(device, move.target, move.charger)
+                st.move(move.device, move.target, move.charger)
                 self.ops["moves"] += 1
                 moved = True
-                touched |= st.coalition_of(device).members
+                touched |= st.coalition_of(move.device).members
             if not moved:
                 break
-        return touched
 
-    def _repair(self, touched: Set[int]) -> List[int]:
+    def _next_move(self, order: List[int], start: int) -> Tuple[int, Optional[SwitchMove]]:
+        """The first socially-aware move among ``order[start:]``.
+
+        Returns ``(stop, move)``: ``order[start:stop]`` were scanned and
+        ``move`` is the last one's move, or ``(len(order), None)`` when
+        none of them can move.  The array engine screens all of them in
+        one pass (:meth:`~repro.game.arraycore.StructureArrayView.first_mover`)
+        and runs the exact per-device scan only for the first mover; the
+        object engine scans them one by one.
+        """
+        if self._view is not None:
+            hit = self._view.first_mover(order[start:], self._social)
+            if hit is None:
+                return len(order), None
+            stop = start + hit + 1
+            return stop, self._view.best_move(order[stop - 1], self._social)
+        for i in range(start, len(order)):
+            move = self._social.best_move(self.structure, order[i])
+            if move is not None:
+                return i + 1, move
+        return len(order), None
+
+    def _repair(self) -> List[int]:
         """Re-establish ``cost <= ceiling`` for every placed device.
 
+        Every round rescans *all* placed devices, not just the ones a
+        fold or removal touched: a move re-shares its source coalition's
+        cost too, and those survivors are nobody's neighborhood.
         Membership churn can push a bystander above its quote (e.g. a
         base-fee-dominated session losing a member raises everyone's
         per-head share).  Violators take their best selfish move, and
@@ -731,14 +762,9 @@ class IncrementalPlanner:
         devices the repair had to evict (see :meth:`_repair`; empty with
         every charger up).
         """
-        cid = self.structure.remove(device)
+        self.structure.remove(device)
         del self.ceiling[device]
-        survivors = (
-            set(self.structure._coalitions[cid].members)
-            if cid in self.structure._coalitions
-            else set()
-        )
-        return self._repair(survivors)
+        return self._repair()
 
     def retire(self, cid: int) -> Dict[str, object]:
         """Depart coalition *cid*; returns the frozen session accounting.

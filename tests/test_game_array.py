@@ -45,6 +45,7 @@ from repro.io import instance_from_dict
 from repro.service import IncrementalPlanner
 from repro.workloads import quick_instance
 from repro.wpt import Charger
+from repro.wpt.pricing import LinearTariff, PiecewiseConcaveTariff, PowerLawTariff
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -361,19 +362,208 @@ def _drive_planner(engine):
     return planner, snapshot
 
 
+class _UnlistedPowerLaw(PowerLawTariff):
+    """A power law the price table does not recognise: priced per charger."""
+
+
+_PLANNER_TARIFFS = {
+    "power": lambda k: PowerLawTariff(base=10.0 + 5.0 * k, unit=1.0, exponent=0.8),
+    "linear": lambda k: LinearTariff(base=40.0 + 5.0 * k, unit=0.05),
+    "piecewise": lambda k: PiecewiseConcaveTariff(
+        base=20.0 + 5.0 * k, breakpoints=(5e3, 2e4), marginal_prices=(0.2, 0.1, 0.05)
+    ),
+    "unlisted": lambda k: _UnlistedPowerLaw(base=15.0, unit=1.0, exponent=0.7 + 0.02 * k),
+}
+_xy = st.floats(min_value=0.0, max_value=100.0)
+_add_step = st.tuples(
+    st.just("add"), _xy, _xy,
+    st.floats(min_value=1e3, max_value=5e4),  # demand
+    st.floats(min_value=0.05, max_value=40.0),  # moving rate
+)
+_planner_step = st.one_of(
+    _add_step,
+    _add_step,  # listed twice: adds are drawn twice as often as other edits
+    st.tuples(st.just("fold")),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("retire"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("fail"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("restore"), st.integers(min_value=0, max_value=3)),
+)
+
+
+@st.composite
+def _planner_script(draw):
+    chargers = [
+        Charger(
+            charger_id=f"c{k}",
+            position=Point(draw(_xy), draw(_xy)),
+            tariff=_PLANNER_TARIFFS[draw(st.sampled_from(sorted(_PLANNER_TARIFFS)))](k),
+            capacity=draw(st.sampled_from([1, 2, 3, None])),
+        )
+        for k in range(draw(st.integers(min_value=2, max_value=4)))
+    ]
+    scheme = draw(st.sampled_from(sorted(SCHEMES)))
+    sweeps = draw(st.integers(min_value=0, max_value=3))
+    steps = draw(st.lists(_planner_step, min_size=1, max_size=30))
+    return chargers, scheme, sweeps, steps
+
+
+def _assert_planners_identical(obj, arr):
+    assert arr.structure.state_key() == obj.structure.state_key()
+    # Bit-identity: compare the exact bits, not a tolerance.
+    assert arr.structure.total_cost.hex() == obj.structure.total_cost.hex()
+    assert arr.structure.zobrist_hash() == obj.structure.zobrist_hash()
+    # Identical decisions imply identical work tallies.
+    assert arr.ops == obj.ops
+
+
+def _assert_screen_exact(planner):
+    """The array planner's screen agrees with the exact scans, device by device."""
+    view, structure = planner._view, planner.structure
+    placed = planner.active_indices()
+    if not placed:
+        return
+    _, _, _, own_now, leave = view._source_state(placed)
+    for k, device in enumerate(placed):
+        assert float(own_now[k]).hex() == structure.individual_cost(device).hex()
+        assert float(leave[k]).hex() == structure.leave_delta(device).hex()
+        for rule in (planner._social, planner._selfish):
+            screened = view.first_mover([device], rule) is not None
+            assert screened == (rule.best_move(structure, device) is not None)
+
+
+def _counting_best_move(planner):
+    """Record the array planner's exact socially-aware per-device scans."""
+    view = planner._view
+    calls = []
+    exact = view.best_move
+
+    def counted(device, rule):
+        if isinstance(rule, SociallyAwareSwitch):
+            calls.append(device)
+        return exact(device, rule)
+
+    view.best_move = counted
+    return calls
+
+
 class TestPlannerParity:
     def test_planner_engines_bit_identical(self):
         obj_planner, obj_snapshot = _drive_planner("object")
         arr_planner, arr_snapshot = _drive_planner("array")
         assert obj_planner.engine == "object" and arr_planner.engine == "array"
         assert arr_snapshot == obj_snapshot
-        assert arr_planner.structure.total_cost == obj_planner.structure.total_cost
-        assert (
-            arr_planner.structure.zobrist_hash()
-            == obj_planner.structure.zobrist_hash()
-        )
-        # Identical decisions imply identical work tallies.
-        assert arr_planner.ops == obj_planner.ops
+        _assert_planners_identical(obj_planner, arr_planner)
+
+    @settings(max_examples=80, deadline=None)
+    @given(script=_planner_script())
+    def test_random_edit_sequences_bit_identical(self, script):
+        """Object and array planners agree after every fold of a random
+        add / fold / remove / retire / outage / recovery sequence."""
+        chargers, scheme, sweeps, steps = script
+        planners = [
+            IncrementalPlanner(
+                chargers, scheme=SCHEMES[scheme], improvement_sweeps=sweeps, engine=engine
+            )
+            for engine in ("object", "array")
+        ]
+        obj, arr = planners
+        assert obj.engine == "object" and arr.engine == "array"
+        exact_scans = _counting_best_move(arr)
+        m = len(chargers)
+        pending = []  # added, displaced or evicted devices awaiting a fold
+        inserted = 0
+        for n, step in enumerate([*steps, ("fold",)]):
+            kind = step[0]
+            if kind == "add":
+                _, x, y, demand, rate = step
+                dev = Device(
+                    device_id=f"d{n}", position=Point(x, y), demand=demand, moving_rate=rate
+                )
+                quote = obj.quote(dev)
+                assert arr.quote(dev) == quote
+                index = obj.add(dev, quote[0])
+                assert arr.add(dev, quote[0]) == index
+                pending.append(index)
+            elif kind == "fold":
+                inserted += len(pending)
+                placements, evicted = obj.fold(pending)
+                assert arr.fold(pending) == (placements, evicted)
+                _assert_planners_identical(obj, arr)
+                _assert_screen_exact(arr)
+                pending = list(evicted)
+            elif kind == "remove":
+                active = obj.active_indices()
+                if active:
+                    device = active[step[1] % len(active)]
+                    evicted = obj.remove(device)
+                    assert arr.remove(device) == evicted
+                    pending.extend(evicted)
+            elif kind == "retire":
+                cids = obj.live_cids()
+                if cids:
+                    cid = cids[step[1] % len(cids)]
+                    assert arr.retire(cid) == obj.retire(cid)
+            elif kind == "fail":
+                j = step[1] % m
+                up = int(obj.instance.available_mask.sum())
+                # Keep one charger up so every fold has a placement.
+                if obj.is_available(j) and up > 1:
+                    for planner in planners:
+                        planner.fail_charger(j)
+                    displaced = obj.evacuate_charger(j)
+                    assert arr.evacuate_charger(j) == displaced
+                    pending.extend(displaced)
+            else:
+                j = step[1] % m
+                for planner in planners:
+                    planner.restore_charger(j)
+            assert arr.live_cids() == obj.live_cids()
+        _assert_planners_identical(obj, arr)
+        for planner in planners:
+            planner.structure.check_invariants()
+        # The screen sends exactly the improvement movers to the exact scan.
+        assert len(exact_scans) == arr.ops["moves"] - inserted
+
+    @staticmethod
+    def _two_charger_planner():
+        chargers = [
+            Charger(
+                charger_id=f"c{k}",
+                position=Point(100.0 * k, 0.0),
+                tariff=PowerLawTariff(base=200.0, unit=0.01),
+            )
+            for k in range(2)
+        ]
+        return IncrementalPlanner(chargers, engine="array")
+
+    def test_fold_without_a_mover_runs_no_exact_scan(self):
+        planner = self._two_charger_planner()
+        calls = _counting_best_move(planner)
+        dev = Device(device_id="a", position=Point(0.0, 0.0), demand=20e3, moving_rate=3.0)
+        planner.fold([planner.add(dev, planner.quote(dev)[0])])
+        assert planner.ops["scan_candidates"] > 0  # the sweep did visit it
+        assert planner.ops["moves"] == 1  # the insert; no improvement move
+        assert calls == []
+
+    def test_fold_with_one_mover_runs_one_exact_scan(self):
+        planner = self._two_charger_planner()
+        calls = _counting_best_move(planner)
+        a = Device(device_id="a", position=Point(0.0, 0.0), demand=20e3, moving_rate=3.0)
+        b = Device(device_id="b", position=Point(100.0, 0.0), demand=20e3, moving_rate=3.0)
+        ia = planner.add(a, planner.quote(a)[0])
+        planner.fold([ia])
+        # Strand a at the far charger, 300 moving-cost units from its own.
+        planner.structure.move(ia, None, 1)
+        moves = planner.ops["moves"]
+        del calls[:]
+        ib = planner.add(b, planner.quote(b)[0])
+        planner.fold([ib])
+        # b joins a's session at c1 (the shared base fee beats charging
+        # alone); the sweep then sends a home, and nothing else moves.
+        assert planner.ops["moves"] == moves + 2
+        assert planner.structure.coalition_of(ia).charger == 0
+        assert calls == [ia]
 
 
 # --------------------------------------------------------------------- #
